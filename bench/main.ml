@@ -1401,6 +1401,21 @@ let micro () =
     Cq.atom (Cq.var "x") (Cq.cst Vocab.rdf_type)
       (Cq.cst (Term.uri (Lubm.ns ^ "Person")))
   in
+  (* The write path on its own copy of the bench store, so the other
+     kernels' environment never sees its epochs move: a 4-triple insert
+     and its delete, each through [Session.apply]. *)
+  let write_session =
+    match Refq_serve.Session.of_store (Store.copy store) with
+    | Ok s -> s
+    | Error m -> failwith m
+  in
+  let write_batch =
+    List.init 4 (fun i ->
+        Triple.make
+          (Term.uri (Printf.sprintf "http://example.org/kernel%d" i))
+          Vocab.rdf_type
+          (Term.uri (Lubm.ns ^ "FullProfessor")))
+  in
   let tests =
     Test.make_grouped ~name:"refq"
       [
@@ -1429,6 +1444,15 @@ let micro () =
                ignore (Refq_schema.Closure.of_schema Lubm.schema)));
         Test.make ~name:"e9_stats_compute"
           (Staged.stage (fun () -> ignore (Stats.compute store)));
+        Test.make ~name:"kernel_write_batch"
+          (Staged.stage (fun () ->
+               let apply op =
+                 ignore
+                   (Refq_serve.Session.apply write_session
+                      (List.map op write_batch))
+               in
+               apply (fun t -> `Add t);
+               apply (fun t -> `Remove t)));
         Test.make ~name:"kernel_atom_rewrite"
           (Staged.stage (fun () ->
                ignore (Refq_reform.Atom_reform.rewrite cl ~fresh type_atom)));

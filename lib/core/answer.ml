@@ -121,9 +121,29 @@ type env = {
   caches : caches;
 }
 
+(* The schema is the few triples under the four RDFS constraint
+   predicates: read their POS ranges rather than decode the whole store.
+   A schema is a set, so the closure equals [Closure.of_graph] over the
+   full graph. *)
+let closure_of_store store =
+  let g = ref Refq_rdf.Graph.empty in
+  List.iter
+    (fun pred ->
+      match Store.find_term store pred with
+      | None -> ()
+      | Some p ->
+        Store.iter_pattern store ~s:None ~p:(Some p) ~o:None (fun s _ o ->
+            g :=
+              Refq_rdf.Graph.add
+                (Refq_rdf.Triple.make (Store.decode_id store s) pred
+                   (Store.decode_id store o))
+                !g))
+    Refq_rdf.Vocab.
+      [ rdfs_subclassof; rdfs_subpropertyof; rdfs_domain; rdfs_range ];
+  Closure.of_graph !g
+
 let make_env ?(cache = Cache.default_policy) store =
-  Store.freeze store;
-  let closure = Closure.of_graph (Store.to_graph store) in
+  let closure = closure_of_store store in
   {
     store;
     closure;
@@ -209,8 +229,7 @@ let install_saturated env sst =
 let invalidate env =
   let d = Store.data_epoch env.store and s = Store.schema_epoch env.store in
   if s <> env.schema_epoch then begin
-    Store.freeze env.store;
-    let closure = Closure.of_graph (Store.to_graph env.store) in
+    let closure = closure_of_store env.store in
     env.closure <- closure;
     env.schema_fp <- Cache.closure_fingerprint closure;
     env.card_env <- Cardinality.make_env env.store;
@@ -223,7 +242,6 @@ let invalidate env =
     env.data_epoch <- d
   end
   else if d <> env.data_epoch then begin
-    Store.freeze env.store;
     env.card_env <- Cardinality.make_env env.store;
     env.sat <- None;
     (* Reformulations stay valid (schema unchanged); cover choices and

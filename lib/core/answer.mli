@@ -49,6 +49,12 @@ val epochs : env -> int * int
 
 val closure : env -> Closure.t
 
+val closure_of_store : Store.t -> Closure.t
+(** The closure of the store's schema, read from the POS ranges of the
+    four RDFS constraint predicates only — equal to
+    [Closure.of_graph (Store.to_graph store)] without decoding the
+    instance data. {!make_env} and {!invalidate} build theirs this way. *)
+
 val card_env : env -> Cardinality.env
 
 val saturated : env -> Store.t * Refq_saturation.Saturate.info

@@ -296,7 +296,8 @@ let handle_stats t =
     [
       ("serve.epoch.data", data);
       ("serve.epoch.schema", schema);
-      ("serve.open_connections", List.length t.conns);
+      ( "serve.open_connections",
+        with_lock t.state_m (fun () -> List.length t.conns) );
     ]
   in
   Protocol.ok ~epochs:snap.snap_epochs
@@ -375,13 +376,28 @@ let serve_conn t fd =
     match next_line () with
     | None -> ()
     | Some line when String.trim line = "" -> loop ()
-    | Some line ->
+    | Some line -> (
       let resp = handle t line in
-      write_all fd (resp ^ "\n") 0 (String.length resp + 1);
-      if not t.stopping then loop ()
+      (* A client that hung up before its response arrives closes the
+         connection, nothing more (SIGPIPE is ignored, see [start]). *)
+      match write_all fd (resp ^ "\n") 0 (String.length resp + 1) with
+      | () -> if not t.stopping then loop ()
+      | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> ())
   in
   (try loop () with Unix.Unix_error _ -> () | Sys_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* A finished connection leaves [conns], so the list — and the
+   [serve.open_connections] gauge — holds live connections only. The
+   acceptor registers a thread under [state_m] before the thread can
+   take it to deregister, so no finished thread is ever left behind. *)
+let run_conn t fd =
+  Fun.protect
+    ~finally:(fun () ->
+      let self = Thread.id (Thread.self ()) in
+      with_lock t.state_m (fun () ->
+          t.conns <- List.filter (fun th -> Thread.id th <> self) t.conns))
+    (fun () -> serve_conn t fd)
 
 let accept_loop t () =
   while not t.stopping do
@@ -390,8 +406,8 @@ let accept_loop t () =
     | _ :: _, _, _ -> (
       match Unix.accept t.sock with
       | fd, _ ->
-        let th = Thread.create (fun () -> serve_conn t fd) () in
-        with_lock t.state_m (fun () -> t.conns <- th :: t.conns)
+        with_lock t.state_m (fun () ->
+            t.conns <- Thread.create (run_conn t) fd :: t.conns)
       | exception Unix.Unix_error _ -> ())
     | exception Unix.Unix_error (EINTR, _, _) -> ()
   done
@@ -415,6 +431,10 @@ let start ?(config = Config.default) session =
            (Unix.error_message e))
     | () ->
       Unix.listen sock 64;
+      (* A write to a socket whose peer has gone must fail with EPIPE in
+         the connection's thread, not kill the process with SIGPIPE. *)
+      (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+       with Invalid_argument _ -> ());
       let port =
         match Unix.getsockname sock with
         | Unix.ADDR_INET (_, p) -> p

@@ -1,4 +1,5 @@
 open Refq_rdf
+module Int_vec = Refq_util.Int_vec
 
 type prop_stat = {
   count : int;
@@ -13,57 +14,90 @@ type t = {
   n_distinct_objects : int;
   props : (int, prop_stat) Hashtbl.t;
   classes : (int, int) Hashtbl.t;
-  subj_counts : (int, int) Hashtbl.t;
-  obj_counts : (int, int) Hashtbl.t;
-  po_counts : (int * int, int) Hashtbl.t;
+  subj_runs : Int_vec.t;  (** stride 2: subject, its triples, by subject *)
+  obj_runs : Int_vec.t;  (** stride 2: object, its triples, by object *)
+  po_runs : Int_vec.t;  (** stride 3: property, object, their triples *)
 }
 
-let bump tbl k =
-  Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+(* [runs c ~level ~lo ~hi f] calls [f start stop] for every maximal run
+   of positions lo..hi-1 sharing their [level] key. Sound when the
+   keys of the levels below are constant over the range — the trie
+   invariant, so nested calls walk one level deeper. *)
+let runs c ~level ~lo ~hi f =
+  if lo < hi then begin
+    let start = ref lo and cur = ref (Store.cursor_key c ~pos:lo ~level) in
+    for k = lo + 1 to hi - 1 do
+      let v = Store.cursor_key c ~pos:k ~level in
+      if v <> !cur then begin
+        f !start k;
+        start := k;
+        cur := v
+      end
+    done;
+    f !start hi
+  end
 
+(* Every figure is a number of runs, or a run length, in one of the
+   three sorted permutations: nothing is hashed per triple, and the
+   result depends on the triple set alone. *)
 let compute store =
-  Store.freeze store;
   let rdf_type = Store.find_term store Vocab.rdf_type in
-  let props_acc : (int, int * (int, unit) Hashtbl.t * (int, unit) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 64
-  in
+  let spo = Store.cursor store Store.O_spo in
+  let pos = Store.cursor store Store.O_pos in
+  let osp = Store.cursor store Store.O_osp in
+  let n = Store.cursor_length spo in
+  let key c k level = Store.cursor_key c ~pos:k ~level in
+  (* POS: per property, its triples and distinct objects; per (p, o)
+     pair, its triples — the class counts when p is rdf:type. *)
+  let per_prop = ref [] in
   let classes = Hashtbl.create 64 in
-  let subj_counts = Hashtbl.create 1024 in
-  let obj_counts = Hashtbl.create 1024 in
-  let po_counts = Hashtbl.create 1024 in
-  Store.iter_all store (fun s p o ->
-      bump subj_counts s;
-      bump obj_counts o;
-      bump po_counts (p, o);
-      (match Hashtbl.find_opt props_acc p with
-      | Some (n, ss, os) ->
-        Hashtbl.replace ss s ();
-        Hashtbl.replace os o ();
-        Hashtbl.replace props_acc p (n + 1, ss, os)
-      | None ->
-        let ss = Hashtbl.create 64 and os = Hashtbl.create 64 in
-        Hashtbl.replace ss s ();
-        Hashtbl.replace os o ();
-        Hashtbl.replace props_acc p (1, ss, os));
-      match rdf_type with
-      | Some ty when p = ty -> bump classes o
-      | Some _ | None -> ());
-  let props = Hashtbl.create (Hashtbl.length props_acc) in
-  Hashtbl.iter
-    (fun p (n, ss, os) ->
+  let po_runs = Int_vec.create ~capacity:1024 () in
+  runs pos ~level:0 ~lo:0 ~hi:n (fun lo hi ->
+      let p = key pos lo 0 in
+      let distinct_o = ref 0 in
+      let is_type = match rdf_type with Some t -> t = p | None -> false in
+      runs pos ~level:1 ~lo ~hi (fun lo hi ->
+          let o = key pos lo 1 in
+          incr distinct_o;
+          Int_vec.push po_runs p;
+          Int_vec.push po_runs o;
+          Int_vec.push po_runs (hi - lo);
+          if is_type then Hashtbl.replace classes o (hi - lo));
+      per_prop := (p, hi - lo, !distinct_o) :: !per_prop);
+  (* SPO: distinct subjects, and per property its distinct subjects —
+     one per (s, p) run. POS lists properties ascending, so the head of
+     [per_prop] holds the largest id. *)
+  let distinct_s =
+    Array.make (match !per_prop with (p, _, _) :: _ -> p + 1 | [] -> 0) 0
+  in
+  let subj_runs = Int_vec.create ~capacity:1024 () in
+  runs spo ~level:0 ~lo:0 ~hi:n (fun lo hi ->
+      Int_vec.push subj_runs (key spo lo 0);
+      Int_vec.push subj_runs (hi - lo);
+      runs spo ~level:1 ~lo ~hi (fun lo _ ->
+          let p = key spo lo 1 in
+          distinct_s.(p) <- distinct_s.(p) + 1));
+  (* OSP: distinct objects. *)
+  let obj_runs = Int_vec.create ~capacity:1024 () in
+  runs osp ~level:0 ~lo:0 ~hi:n (fun lo hi ->
+      Int_vec.push obj_runs (key osp lo 0);
+      Int_vec.push obj_runs (hi - lo));
+  let props = Hashtbl.create (List.length !per_prop) in
+  List.iter
+    (fun (p, count, distinct_o) ->
       Hashtbl.replace props p
-        { count = n; distinct_s = Hashtbl.length ss; distinct_o = Hashtbl.length os })
-    props_acc;
+        { count; distinct_s = distinct_s.(p); distinct_o })
+    !per_prop;
   {
-    n_triples = Store.size store;
-    n_distinct_subjects = Hashtbl.length subj_counts;
+    n_triples = n;
+    n_distinct_subjects = Int_vec.length subj_runs / 2;
     n_distinct_properties = Hashtbl.length props;
-    n_distinct_objects = Hashtbl.length obj_counts;
+    n_distinct_objects = Int_vec.length obj_runs / 2;
     props;
     classes;
-    subj_counts;
-    obj_counts;
-    po_counts;
+    subj_runs;
+    obj_runs;
+    po_runs;
   }
 
 let n_triples st = st.n_triples
@@ -75,22 +109,35 @@ let prop_stat st p = Hashtbl.find_opt st.props p
 
 let class_count st c = Option.value ~default:0 (Hashtbl.find_opt st.classes c)
 
-let top tbl ~k =
-  let all = Hashtbl.fold (fun key n acc -> (key, n) :: acc) tbl [] in
-  let sorted =
-    List.sort (fun (_, n1) (_, n2) -> Int.compare n2 n1) all
-  in
-  List.filteri (fun i _ -> i < k) sorted
+(* Most frequent first; ties by ascending key, so the order is a
+   function of the statistics alone. *)
+let top items ~k =
+  List.sort (fun (k1, n1) (k2, n2) ->
+      match Int.compare n2 n1 with 0 -> compare k1 k2 | c -> c)
+    items
+  |> List.filteri (fun i _ -> i < k)
+
+let of_runs v ~stride key =
+  List.init (Int_vec.length v / stride) (fun i ->
+      (key (stride * i), Int_vec.get v ((stride * i) + stride - 1)))
 
 let top_properties st ~k =
-  let counts = Hashtbl.create 16 in
-  Hashtbl.iter (fun p ps -> Hashtbl.replace counts p ps.count) st.props;
-  top counts ~k
+  top (Hashtbl.fold (fun p ps acc -> (p, ps.count) :: acc) st.props []) ~k
 
-let top_classes st ~k = top st.classes ~k
-let top_subjects st ~k = top st.subj_counts ~k
-let top_objects st ~k = top st.obj_counts ~k
-let top_po_pairs st ~k = top st.po_counts ~k
+let top_classes st ~k =
+  top (Hashtbl.fold (fun c n acc -> (c, n) :: acc) st.classes []) ~k
+
+let top_subjects st ~k =
+  top (of_runs st.subj_runs ~stride:2 (Int_vec.get st.subj_runs)) ~k
+
+let top_objects st ~k =
+  top (of_runs st.obj_runs ~stride:2 (Int_vec.get st.obj_runs)) ~k
+
+let top_po_pairs st ~k =
+  top
+    (of_runs st.po_runs ~stride:3 (fun i ->
+         (Int_vec.get st.po_runs i, Int_vec.get st.po_runs (i + 1))))
+    ~k
 
 let pp dict ppf st =
   let term id = Dictionary.decode dict id in

@@ -15,7 +15,11 @@ type prop_stat = {
 type t
 
 val compute : Store.t -> t
-(** One pass over the store's indexes. *)
+(** Run-length scans of the store's three sorted indexes (freezing it
+    first): per-property figures and class counts from POS runs,
+    subjects and per-property distinct subjects from SPO runs, objects
+    from OSP runs. Nothing is maintained incrementally; the result
+    depends only on the triple set. *)
 
 val n_triples : t -> int
 
@@ -33,7 +37,8 @@ val class_count : t -> int -> int
     class id; 0 when unseen. *)
 
 val top_properties : t -> k:int -> (int * int) list
-(** [(property id, triple count)], most frequent first. *)
+(** [(property id, triple count)], most frequent first; equal counts in
+    ascending id order (as for every [top_*]). *)
 
 val top_classes : t -> k:int -> (int * int) list
 

@@ -9,7 +9,11 @@ type t = {
   mutable spo : int array;  (** permutations over triple indices *)
   mutable pos : int array;
   mutable osp : int array;
-  mutable dirty : bool;
+  mutable frozen : int;
+      (** triples the permutations cover: the vector prefix indexed by
+          the last [freeze]; entries past it are the appended delta *)
+  removed : Int_vec.t;
+      (** stride 3: keys removed from [seen] since the last [freeze] *)
   mutable data_epoch : int;
   mutable schema_epoch : int;
   mutable hook : (delta -> unit) option;
@@ -59,7 +63,8 @@ let create ?dictionary () =
     spo = [||];
     pos = [||];
     osp = [||];
-    dirty = true;
+    frozen = 0;
+    removed = Int_vec.create ();
     data_epoch = 0;
     schema_epoch = 0;
     hook = None;
@@ -141,7 +146,6 @@ let add_ids st s p o =
     Int_vec.push st.triples s;
     Int_vec.push st.triples p;
     Int_vec.push st.triples o;
-    st.dirty <- true;
     bump_epoch st p;
     notify st `Add s p o;
     trace st T_mutate
@@ -187,7 +191,9 @@ let remove_ids st s p o =
   if Hashtbl.mem st.seen key then begin
     if st.sealed then sealed_fail "remove_ids";
     Hashtbl.remove st.seen key;
-    st.dirty <- true;
+    Int_vec.push st.removed s;
+    Int_vec.push st.removed p;
+    Int_vec.push st.removed o;
     bump_epoch st p;
     notify st `Remove s p o;
     trace st T_mutate
@@ -211,91 +217,12 @@ let key_spo st i k = field st i (match k with 0 -> 0 | 1 -> 1 | _ -> 2)
 let key_pos st i k = field st i (match k with 0 -> 1 | 1 -> 2 | _ -> 0)
 let key_osp st i k = field st i (match k with 0 -> 2 | 1 -> 0 | _ -> 1)
 
-let build_perm st key =
-  let n = size st in
-  let perm = Array.init n Fun.id in
-  let cmp i j =
-    let c = Int.compare (key st i 0) (key st j 0) in
-    if c <> 0 then c
-    else
-      let c = Int.compare (key st i 1) (key st j 1) in
-      if c <> 0 then c else Int.compare (key st i 2) (key st j 2)
-  in
-  Array.sort cmp perm;
-  perm
-
-(* Drop vector entries whose triple is no longer (or no longer uniquely)
-   in [seen] — removals leave stale entries and a remove/re-add cycle can
-   leave duplicates. *)
-let compact st =
-  if Int_vec.length st.triples / 3 <> Hashtbl.length st.seen then begin
-    let kept = Hashtbl.create (Hashtbl.length st.seen) in
-    let out = Int_vec.create ~capacity:(max 1 (3 * Hashtbl.length st.seen)) () in
-    let n = Int_vec.length st.triples / 3 in
-    for i = 0 to n - 1 do
-      let s = Int_vec.get st.triples (3 * i) in
-      let p = Int_vec.get st.triples ((3 * i) + 1) in
-      let o = Int_vec.get st.triples ((3 * i) + 2) in
-      let key = (s, p, o) in
-      if Hashtbl.mem st.seen key && not (Hashtbl.mem kept key) then begin
-        Hashtbl.add kept key ();
-        Int_vec.push out s;
-        Int_vec.push out p;
-        Int_vec.push out o
-      end
-    done;
-    Int_vec.clear st.triples;
-    Int_vec.append_array st.triples (Int_vec.to_array out)
-  end
-
-let freeze st =
-  if st.dirty then begin
-    compact st;
-    st.spo <- build_perm st key_spo;
-    st.pos <- build_perm st key_pos;
-    st.osp <- build_perm st key_osp;
-    st.dirty <- false
-  end
-
-(* Sealing freezes first so worker domains never trigger the lazy index
-   build: after [seal] every public read ([iter_pattern], [count_pattern],
-   [find_term], [decode_id], [mem_ids], ...) touches only data no domain
-   mutates until [unseal]. *)
-let seal st =
-  freeze st;
-  st.sealed <- true;
-  trace st T_seal
-
-let unseal st =
-  st.sealed <- false;
-  trace st T_unseal
-
-(* Freeze first so the copy starts from the canonical (compacted, indexed)
-   shape and can share nothing mutable with the original: once copied, the
-   two stores never observe each other's mutations. The delta hook is
-   deliberately not carried over — a snapshot copy must not feed the
-   original's WAL. *)
-let copy st =
-  freeze st;
-  let c =
-  {
-    uid = Atomic.fetch_and_add uids 1;
-    dict = Dictionary.copy st.dict;
-    triples = Int_vec.of_array (Int_vec.to_array st.triples);
-    seen = Hashtbl.copy st.seen;
-    spo = Array.copy st.spo;
-    pos = Array.copy st.pos;
-    osp = Array.copy st.osp;
-    dirty = false;
-    data_epoch = st.data_epoch;
-    schema_epoch = st.schema_epoch;
-    hook = None;
-    schema_preds = Hashtbl.copy st.schema_preds;
-    sealed = false;
-  }
-  in
-  trace st (T_copy c);
-  c
+let compare_entries st key i j =
+  let c = Int.compare (key st i 0) (key st j 0) in
+  if c <> 0 then c
+  else
+    let c = Int.compare (key st i 1) (key st j 1) in
+    if c <> 0 then c else Int.compare (key st i 2) (key st j 2)
 
 (* Binary search on a permutation w.r.t. a (k1, k2, k3) virtual key;
    [min_int]/[max_int] stand for unbound key components. [strict] selects
@@ -330,6 +257,185 @@ let range st key perm ~b1 ~b2 ~b3 =
       (def b1 max_int, def b2 max_int, def b3 max_int)
   in
   (lo, hi)
+
+(* Position of triple (s, p, o) in the SPO permutation, if indexed. *)
+let spo_position st s p o =
+  let lo, hi = range st key_spo st.spo ~b1:(Some s) ~b2:(Some p) ~b3:(Some o) in
+  if lo < hi then Some lo else None
+
+let dirty st =
+  Int_vec.length st.triples > 3 * st.frozen || Int_vec.length st.removed > 0
+
+(* Drop the vector entries whose triple is no longer (or no longer
+   uniquely) in [seen], keeping the first surviving occurrence of each
+   triple in vector order, and renumber the indexed prefix's
+   permutations to match. Only a key removed since the last freeze can
+   be dead or duplicated — [add_ids] never appends a key [seen] holds —
+   so the work is a table of the removed keys, a binary search per key
+   on the SPO permutation and one in-place pass over the vector. *)
+let compact st =
+  let nr = Int_vec.length st.removed / 3 in
+  if nr > 0 then begin
+    (* Per removed key: [`Open] while live with no entry kept yet,
+       [`Kept] once one is, [`Dead] if no longer in [seen]. An entry is
+       kept only in the [`Open] state. *)
+    let state = Hashtbl.create nr in
+    for j = 0 to nr - 1 do
+      let r k = Int_vec.get st.removed ((3 * j) + k) in
+      let key = (r 0, r 1, r 2) in
+      Hashtbl.replace state key
+        (if Hashtbl.mem st.seen key then `Open else `Dead)
+    done;
+    let dead = ref [] in
+    Hashtbl.filter_map_inplace
+      (fun (s, p, o) v ->
+        match spo_position st s p o with
+        | None -> Some v
+        | Some k ->
+          if v = `Dead then dead := st.spo.(k) :: !dead;
+          Some (if v = `Open then `Kept else v))
+      state;
+    let dead = Array.of_list !dead in
+    Array.sort Int.compare dead;
+    (* Entries before the first dead one, or before the delta, stay put. *)
+    let first = if Array.length dead > 0 then dead.(0) else st.frozen in
+    let n = Int_vec.length st.triples / 3 in
+    let w = ref first and next_dead = ref 0 in
+    for i = first to n - 1 do
+      let s = s_of st i and p = p_of st i and o = o_of st i in
+      let keep =
+        if i < st.frozen then
+          if !next_dead < Array.length dead && dead.(!next_dead) = i then begin
+            incr next_dead;
+            false
+          end
+          else true
+        else
+          match Hashtbl.find_opt state (s, p, o) with
+          | None -> true
+          | Some `Open ->
+            Hashtbl.replace state (s, p, o) `Kept;
+            true
+          | Some (`Kept | `Dead) -> false
+      in
+      if keep then begin
+        if !w <> i then begin
+          Int_vec.set st.triples (3 * !w) s;
+          Int_vec.set st.triples ((3 * !w) + 1) p;
+          Int_vec.set st.triples ((3 * !w) + 2) o
+        end;
+        incr w
+      end
+    done;
+    Int_vec.truncate st.triples (3 * !w);
+    Int_vec.clear st.removed;
+    let nd = Array.length dead in
+    if nd > 0 then begin
+      (* Index [i] of a surviving prefix entry moves down by the number
+         of dead entries before it. *)
+      let renumber perm =
+        let out = Array.make (Array.length perm - nd) 0 in
+        let w = ref 0 in
+        Array.iter
+          (fun i ->
+            if i < first then begin
+              out.(!w) <- i;
+              incr w
+            end
+            else
+              let lo = ref 0 and hi = ref nd in
+              while !lo < !hi do
+                let mid = (!lo + !hi) / 2 in
+                if dead.(mid) < i then lo := mid + 1 else hi := mid
+              done;
+              if !lo = nd || dead.(!lo) <> i then begin
+                out.(!w) <- i - !lo;
+                incr w
+              end)
+          perm;
+        out
+      in
+      st.spo <- renumber st.spo;
+      st.pos <- renumber st.pos;
+      st.osp <- renumber st.osp;
+      st.frozen <- st.frozen - nd
+    end
+  end
+
+(* Sort the appended entries [frozen, n) in [key] order and merge them
+   into [base], the permutation of the indexed prefix: one binary search
+   per delta entry, the runs of [base] between them moved by blits. *)
+let merge_delta st key base n =
+  let delta = Array.init (n - st.frozen) (fun k -> st.frozen + k) in
+  Array.sort (compare_entries st key) delta;
+  let nb = Array.length base in
+  let out = Array.make n 0 in
+  let src = ref 0 in
+  Array.iteri
+    (fun k i ->
+      let at =
+        search_bound st key base ~strict:false
+          (key st i 0, key st i 1, key st i 2)
+      in
+      Array.blit base !src out (!src + k) (at - !src);
+      out.(at + k) <- i;
+      src := at)
+    delta;
+  Array.blit base !src out (!src + Array.length delta) (nb - !src);
+  out
+
+let freeze st =
+  if dirty st then begin
+    compact st;
+    let n = Int_vec.length st.triples / 3 in
+    if n > st.frozen then begin
+      st.spo <- merge_delta st key_spo st.spo n;
+      st.pos <- merge_delta st key_pos st.pos n;
+      st.osp <- merge_delta st key_osp st.osp n;
+      st.frozen <- n
+    end
+  end
+
+(* Sealing freezes first so worker domains never trigger the lazy index
+   build: after [seal] every public read ([iter_pattern], [count_pattern],
+   [find_term], [decode_id], [mem_ids], ...) touches only data no domain
+   mutates until [unseal]. *)
+let seal st =
+  freeze st;
+  st.sealed <- true;
+  trace st T_seal
+
+let unseal st =
+  st.sealed <- false;
+  trace st T_unseal
+
+(* Freeze first so the copy starts from the canonical (compacted, indexed)
+   shape and can share nothing mutable with the original: once copied, the
+   two stores never observe each other's mutations. The delta hook is
+   deliberately not carried over — a snapshot copy must not feed the
+   original's WAL. *)
+let copy st =
+  freeze st;
+  let c =
+  {
+    uid = Atomic.fetch_and_add uids 1;
+    dict = Dictionary.copy st.dict;
+    triples = Int_vec.of_array (Int_vec.to_array st.triples);
+    seen = Hashtbl.copy st.seen;
+    spo = Array.copy st.spo;
+    pos = Array.copy st.pos;
+    osp = Array.copy st.osp;
+    frozen = st.frozen;
+    removed = Int_vec.create ();
+    data_epoch = st.data_epoch;
+    schema_epoch = st.schema_epoch;
+    hook = None;
+    schema_preds = Hashtbl.copy st.schema_preds;
+    sealed = false;
+  }
+  in
+  trace st (T_copy c);
+  c
 
 type chosen =
   | Scan
@@ -529,7 +635,7 @@ let export_indexes st =
 (* A candidate permutation is acceptable only if it is a bijection over
    the triple indices and sorted w.r.t. its key order — anything less and
    range search would silently return wrong answers, so reject and let
-   [freeze] rebuild. *)
+   [freeze] index the store itself. *)
 let valid_perm st key perm n =
   Array.length perm = n
   && begin
@@ -545,10 +651,7 @@ let valid_perm st key perm n =
   let sorted = ref true in
   for k = 0 to n - 2 do
     let i = perm.(k) and j = perm.(k + 1) in
-    let c = Int.compare (key st i 0) (key st j 0) in
-    let c = if c <> 0 then c else Int.compare (key st i 1) (key st j 1) in
-    let c = if c <> 0 then c else Int.compare (key st i 2) (key st j 2) in
-    if c > 0 then sorted := false
+    if compare_entries st key i j > 0 then sorted := false
   done;
   !sorted
 
@@ -565,7 +668,7 @@ let import_indexes st ~spo ~pos ~osp =
     st.spo <- spo;
     st.pos <- pos;
     st.osp <- osp;
-    st.dirty <- false;
+    st.frozen <- n;
     true
   end
   else false

@@ -3,8 +3,9 @@
     This plays the role of the RDBMS storing the database in the paper's
     architecture: triples are integer tuples, and three sorted permutation
     indexes provide exact-range lookups for every triple-pattern binding
-    shape. The store is append-only; indexes are (re)built lazily on first
-    lookup after a batch of insertions. *)
+    shape. Insertions append to a triple vector and removals only mark the
+    membership table; the first lookup after a batch merges that delta
+    into the sorted indexes ({!freeze}). *)
 
 open Refq_rdf
 
@@ -89,12 +90,20 @@ val mem_ids : t -> int -> int -> int -> bool
 
 val remove_ids : t -> int -> int -> int -> unit
 (** Remove an encoded triple (no-op when absent). The triple vector is
-    compacted lazily at the next index (re)build. *)
+    compacted lazily at the next {!freeze}. *)
 
 val remove_triple : t -> Triple.t -> unit
 
 val freeze : t -> unit
-(** Force index construction now (otherwise done on first lookup). *)
+(** Bring the indexes up to date now (otherwise done on first lookup).
+    Only the delta since the last freeze is sorted: removed triples are
+    found by binary search on the SPO index and dropped from the vector
+    and the permutations in one renumbering pass, appended ones are
+    merged into each permutation. The vector keeps the first surviving
+    entry of each triple in insertion order, and each permutation is the
+    sorted order of that vector — exactly what a rebuild from scratch
+    gives. A freeze after [d] changes to [n] triples costs [O(n + d log
+    n)]; the first freeze sorts everything. *)
 
 val seal : t -> unit
 (** Open a parallel read region: {!freeze} now (so no worker triggers the
@@ -181,7 +190,7 @@ val import_indexes :
 (** Install externally-saved permutation indexes, skipping the O(n log n)
     rebuild on reopen. Each candidate is validated as a sorted bijection
     over the (compacted) triples; [false] means rejection — the store is
-    left intact and rebuilds lazily, so a corrupted index can never serve
+    left intact and indexes lazily, so a corrupted index can never serve
     wrong answers. *)
 
 val encode_term : t -> Term.t -> int

@@ -24,6 +24,10 @@ val blit_to : t -> int -> int array -> int -> int -> unit
 
 val clear : t -> unit
 
+val truncate : t -> int -> unit
+(** [truncate v n] keeps the first [n] cells. @raise Invalid_argument
+    unless [0 <= n <= length v]. *)
+
 val iter : (int -> unit) -> t -> unit
 
 val to_array : t -> int array

@@ -340,6 +340,71 @@ let test_tcp_roundtrip () =
     (Invalid_argument "Session: use after close") (fun () ->
       ignore (Session.epochs session))
 
+(* A client that sends and hangs up without reading: the server's
+   replies hit a closed socket (EPIPE once the peer's reset arrives).
+   That must end this connection only — the process keeps answering.
+   The server runs in this test process, so a SIGPIPE would kill the
+   test binary itself. *)
+let test_client_hangup () =
+  let session = session_exn (Session.of_store (store_of book_stmts)) in
+  let server = server_exn (Serve.start session) in
+  let rude = connect (Serve.port server) in
+  let sock, _, oc = rude in
+  let pings =
+    String.concat "" (List.init 200 (fun _ -> {|{"op":"ping"}|} ^ "\n"))
+  in
+  output_string oc pings;
+  flush oc;
+  Unix.shutdown sock Unix.SHUTDOWN_ALL;
+  disconnect rude;
+  (* Give the server time to write into the dead socket. *)
+  Thread.delay 0.3;
+  let c = connect (Serve.port server) in
+  Alcotest.(check bool)
+    "second connection answered" true
+    (is_ok (request c (answer_req "q(x) :- x rdf:type ex:Publication")));
+  ignore (request c (req [ ("op", Json.String "shutdown") ]));
+  Serve.wait server;
+  disconnect c
+
+let open_connections line =
+  match
+    Option.bind (Json.member "prometheus" (json_exn line)) Json.to_string_opt
+  with
+  | None -> Alcotest.failf "no prometheus text in %S" line
+  | Some text ->
+    List.find_map
+      (fun l ->
+        Scanf.sscanf_opt l "refq_serve_open_connections %d" Fun.id)
+      (String.split_on_char '\n' text)
+    |> Option.value ~default:(-1)
+
+(* The gauge counts live connections: after three connections come and
+   go, only the scraping one is left. A server thread leaves the list
+   when it sees the hang-up, so poll for a bounded time. *)
+let test_connection_gauge () =
+  let session = session_exn (Session.of_store (store_of book_stmts)) in
+  let server = server_exn (Serve.start session) in
+  for _ = 1 to 3 do
+    let c = connect (Serve.port server) in
+    Alcotest.(check bool) "ping" true (is_ok (request c {|{"op":"ping"}|}));
+    disconnect c
+  done;
+  let scraper = connect (Serve.port server) in
+  let stats () = open_connections (request scraper {|{"op":"stats"}|}) in
+  let rec settle tries =
+    let n = stats () in
+    if n = 1 || tries = 0 then n
+    else begin
+      Thread.delay 0.05;
+      settle (tries - 1)
+    end
+  in
+  Alcotest.(check int) "only the scraping connection" 1 (settle 100);
+  ignore (request scraper (req [ ("op", Json.String "shutdown") ]));
+  Serve.wait server;
+  disconnect scraper
+
 (* ------------------------------------------------------------------ *)
 (* The isolation property                                              *)
 (* ------------------------------------------------------------------ *)
@@ -557,6 +622,10 @@ let () =
             test_malformed_keeps_server_up;
           Alcotest.test_case "tcp round-trip and drain" `Quick
             test_tcp_roundtrip;
+          Alcotest.test_case "client hang-up keeps it up" `Quick
+            test_client_hangup;
+          Alcotest.test_case "open-connections gauge" `Quick
+            test_connection_gauge;
         ] );
       ( "isolation",
         [

@@ -326,6 +326,230 @@ let test_export_import_indexes () =
   Alcotest.(check bool) "truncated permutation rejected" false
     (Store.import_indexes st3 ~spo:(Array.sub spo 0 3) ~pos ~osp)
 
+(* ------------------------------------------------------------------ *)
+(* Merged freeze, index-scan statistics, index-built closure           *)
+(* ------------------------------------------------------------------ *)
+
+(* Random interleavings of writes and freezes, replayed against a
+   reference model kept here: a triple vector with a membership table,
+   compacted at each freeze to the first surviving occurrence of every
+   key and indexed by sorting from scratch. The store must match it
+   entry for entry, its statistics must match a hashtable count of the
+   live triples, and its index-built closure the full-graph one. *)
+
+type op =
+  | Add of int * int * int
+  | Remove of int * int * int
+  | Remove_readd of int * int * int
+  | Freeze
+
+(* Term universe, indexed by the generated positions. Predicates include
+   rdf:type and the four constraint predicates; a literal object tests
+   that the closure ignores ill-formed constraints in both paths. *)
+let nodes = [| "a0"; "a1"; "a2"; "a3" |]
+
+let node i = if i = 4 then Term.literal "lit" else Fixtures.uri nodes.(i)
+
+let preds =
+  [|
+    Fixtures.uri "p0";
+    Fixtures.uri "p1";
+    Vocab.rdf_type;
+    Vocab.rdfs_subclassof;
+    Vocab.rdfs_subpropertyof;
+    Vocab.rdfs_domain;
+    Vocab.rdfs_range;
+  |]
+
+let gen_ops =
+  let open QCheck2.Gen in
+  let key =
+    triple (int_bound 3) (int_bound (Array.length preds - 1)) (int_bound 4)
+  in
+  list_size (int_bound 80)
+    (frequency
+       [
+         (6, map (fun (s, p, o) -> Add (s, p, o)) key);
+         (3, map (fun (s, p, o) -> Remove (s, p, o)) key);
+         (2, map (fun (s, p, o) -> Remove_readd (s, p, o)) key);
+         (2, pure Freeze);
+       ])
+
+let print_ops ops =
+  String.concat "; "
+    (List.map
+       (function
+         | Add (s, p, o) -> Printf.sprintf "add(%d,%d,%d)" s p o
+         | Remove (s, p, o) -> Printf.sprintf "rm(%d,%d,%d)" s p o
+         | Remove_readd (s, p, o) -> Printf.sprintf "rm+add(%d,%d,%d)" s p o
+         | Freeze -> "freeze")
+       ops)
+
+(* The reference model: the vector as a reversed list plus a table of
+   the live keys. *)
+type model = {
+  mutable vec : (int * int * int) list;
+  live : (int * int * int, unit) Hashtbl.t;
+}
+
+let model_add m k =
+  if not (Hashtbl.mem m.live k) then begin
+    Hashtbl.replace m.live k ();
+    m.vec <- k :: m.vec
+  end
+
+let model_compact m =
+  let kept = Hashtbl.create 16 in
+  let vec =
+    List.filter
+      (fun k ->
+        let keep = Hashtbl.mem m.live k && not (Hashtbl.mem kept k) in
+        if keep then Hashtbl.replace kept k ();
+        keep)
+      (List.rev m.vec)
+  in
+  m.vec <- List.rev vec;
+  Array.of_list vec
+
+(* A permutation sorted from scratch, [fields] naming the index order. *)
+let model_perm vec fields =
+  let key (s, p, o) = List.map (fun f -> [| s; p; o |].(f)) fields in
+  let perm = Array.init (Array.length vec) Fun.id in
+  Array.sort (fun i j -> compare (key vec.(i)) (key vec.(j))) perm;
+  perm
+
+(* The hashtable statistics the index scans replace, as an oracle. *)
+let oracle_stats m ~rdf_type =
+  let bump tbl k =
+    Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+  in
+  let subj = Hashtbl.create 16 and obj = Hashtbl.create 16 in
+  let po = Hashtbl.create 16 and classes = Hashtbl.create 16 in
+  let props = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun (s, p, o) () ->
+      bump subj s;
+      bump obj o;
+      bump po (p, o);
+      if p = rdf_type then bump classes o;
+      let n, ss, os =
+        Option.value (Hashtbl.find_opt props p) ~default:(0, [], [])
+      in
+      let add x l = if List.mem x l then l else x :: l in
+      Hashtbl.replace props p (n + 1, add s ss, add o os))
+    m.live;
+  (subj, obj, po, classes, props)
+
+let check_stats st m =
+  let stats = Stats.compute st in
+  let id t = Store.encode_term st t in
+  let rdf_type = id Vocab.rdf_type in
+  let subj, obj, po, classes, props = oracle_stats m ~rdf_type in
+  let count tbl k = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
+  let ok = ref true in
+  let expect b = if not b then ok := false in
+  expect (Stats.n_triples stats = Hashtbl.length m.live);
+  expect (Stats.n_distinct_subjects stats = Hashtbl.length subj);
+  expect (Stats.n_distinct_objects stats = Hashtbl.length obj);
+  expect (Stats.n_distinct_properties stats = Hashtbl.length props);
+  Array.iter
+    (fun p ->
+      let p = id p in
+      let want =
+        Option.map
+          (fun (n, ss, os) ->
+            {
+              Stats.count = n;
+              distinct_s = List.length ss;
+              distinct_o = List.length os;
+            })
+          (Hashtbl.find_opt props p)
+      in
+      expect (Stats.prop_stat stats p = want))
+    preds;
+  for i = 0 to 4 do
+    let o = id (node i) in
+    expect (Stats.class_count stats o = count classes o)
+  done;
+  (* Ties make the order of equal counts arbitrary: every returned pair
+     must carry its true count, and the counts must be the oracle's k
+     largest. *)
+  let check_top top tbl =
+    List.iter
+      (fun k ->
+        let got = top stats ~k in
+        List.iter (fun (key, n) -> expect (count tbl key = n)) got;
+        let want =
+          Hashtbl.fold (fun _ n acc -> n :: acc) tbl []
+          |> List.sort (fun a b -> compare b a)
+          |> List.filteri (fun i _ -> i < k)
+        in
+        expect (List.map snd got = want))
+      [ 1; 3; 1000 ]
+  in
+  check_top Stats.top_subjects subj;
+  check_top Stats.top_objects obj;
+  check_top Stats.top_po_pairs po;
+  check_top Stats.top_classes classes;
+  let prop_counts = Hashtbl.create 16 in
+  Hashtbl.iter (fun p (n, _, _) -> Hashtbl.replace prop_counts p n) props;
+  check_top Stats.top_properties prop_counts;
+  !ok
+
+let check_frozen st m =
+  let vec = model_compact m in
+  let got = ref [] in
+  Store.iter_all st (fun s p o -> got := (s, p, o) :: !got);
+  let spo, pos, osp = Store.export_indexes st in
+  List.rev !got = Array.to_list vec
+  && spo = model_perm vec [ 0; 1; 2 ]
+  && pos = model_perm vec [ 1; 2; 0 ]
+  && osp = model_perm vec [ 2; 0; 1 ]
+  && check_stats st m
+  &&
+  let constraints cl =
+    Refq_schema.Schema.to_list (Refq_schema.Closure.closed_schema cl)
+  in
+  constraints (Refq_core.Answer.closure_of_store st)
+  = constraints (Refq_schema.Closure.of_graph (Store.to_graph st))
+
+let prop_merged_freeze =
+  QCheck2.Test.make ~name:"merged freeze = rebuild; scans = oracle" ~count:300
+    ~print:print_ops gen_ops (fun ops ->
+      let st = Store.create () in
+      let m = { vec = []; live = Hashtbl.create 16 } in
+      let ids (s, p, o) =
+        ( Store.encode_term st (node s),
+          Store.encode_term st preds.(p),
+          Store.encode_term st (node o) )
+      in
+      let add k =
+        let s, p, o = ids k in
+        Store.add_ids st s p o;
+        model_add m (s, p, o)
+      in
+      let remove k =
+        let s, p, o = ids k in
+        Store.remove_ids st s p o;
+        Hashtbl.remove m.live (s, p, o)
+      in
+      List.for_all
+        (function
+          | Add (s, p, o) ->
+            add (s, p, o);
+            true
+          | Remove (s, p, o) ->
+            remove (s, p, o);
+            true
+          | Remove_readd (s, p, o) ->
+            remove (s, p, o);
+            add (s, p, o);
+            true
+          | Freeze ->
+            Store.freeze st;
+            check_frozen st m)
+        (ops @ [ Freeze ]))
+
 let () =
   Alcotest.run "storage"
     [
@@ -353,6 +577,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_save_load_roundtrip;
           QCheck_alcotest.to_alcotest prop_store_roundtrip;
           QCheck_alcotest.to_alcotest prop_count_matches_iter;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 2026 |])
+            prop_merged_freeze;
         ] );
       ( "stats",
         [
