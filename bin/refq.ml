@@ -1879,8 +1879,9 @@ let snapshot_cmd =
         Fmt.pr "store: %d triple(s), %d dictionary id(s)@." (Store.size st)
           (Dictionary.size (Store.dictionary st));
         (match Persist.sat h with
-        | Some sst ->
-          Fmt.pr "saturation: %d triple(s) restored@." (Store.size sst)
+        | Some (sst, delta) ->
+          Fmt.pr "saturation: %d triple(s) restored, %d mutation(s) to apply@."
+            (Store.size sst) (List.length delta)
         | None -> ());
         Persist.close h;
         `Ok ()
@@ -1907,7 +1908,9 @@ let snapshot_cmd =
         Fmt.pr "%a@." Persist.pp_report report;
         Fmt.pr "store: %d triple(s)%s@." (Store.size st)
           (match sat with
-          | Some sst -> Fmt.str "; saturation: %d triple(s)" (Store.size sst)
+          | Some (sst, delta) ->
+            Fmt.str "; saturation: %d triple(s), %d mutation(s) behind"
+              (Store.size sst) (List.length delta)
           | None -> "");
         `Ok ()
     in

@@ -27,9 +27,14 @@ module Views = Refq_views.Views
 type env
 (** A prepared database: the store, its schema closure, its statistics, a
     lazily computed, cached saturation (shared by repeated [Saturation]
-    runs, as a real Sat deployment would), and the three answering
-    caches — reformulations, GCov cover traces and materialized fragment
+    runs, as a real Sat deployment would, and maintained across data
+    writes — see {!invalidate}), and the three answering caches —
+    reformulations, GCov cover traces and materialized fragment
     results. *)
+
+type mutation = [ `Add of Triple.t | `Remove of Triple.t ]
+(** One effective store mutation, as {!invalidate} and
+    {!inherit_saturation} record it. *)
 
 val make_env : ?cache:Cache.policy -> Store.t -> env
 (** [cache] sizes the per-level LRUs ({!Cache.default_policy} when
@@ -51,22 +56,44 @@ val closure : env -> Closure.t
 
 val closure_of_store : Store.t -> Closure.t
 (** The closure of the store's schema, read from the POS ranges of the
-    four RDFS constraint predicates only — equal to
+    four RDFS constraint predicates only
+    ({!Refq_saturation.Saturate.schema_of_store}) — equal to
     [Closure.of_graph (Store.to_graph store)] without decoding the
     instance data. {!make_env} and {!invalidate} build theirs this way. *)
 
 val card_env : env -> Cardinality.env
 
 val saturated : env -> Store.t * Refq_saturation.Saturate.info
-(** The saturation of the store (computed on first use, then cached). *)
+(** The saturation of the store, sealed. The cached value is in one of
+    three states: absent (computed from scratch here, in one round for
+    standard graphs), current (returned as is), or pending — the
+    saturation of an earlier state of the same data plus the effective
+    mutations since, brought up to date here in O(delta): copied into
+    this environment's dictionary, maintained with
+    {!Refq_saturation.Saturate.remove_incremental} and
+    {!Refq_saturation.Saturate.add_incremental} under the environment's
+    closure, sealed and published as current (counter
+    [saturate.maintained]). A maintained saturation's info has
+    [rounds = 0]. *)
 
-val install_saturated : env -> Store.t -> unit
+val install_saturated : ?delta:mutation list -> env -> Store.t -> unit
 (** Install an externally restored saturation (a snapshot's closure) so
     the first [Saturation] run skips the fixpoint. The store must share
-    the environment's dictionary and describe its current epochs — the
-    persistence layer guarantees both; the synthesized
-    {!Refq_saturation.Saturate.info} has [rounds = 0] to mark it as
-    restored, not computed. *)
+    the environment's dictionary and describe the state before [delta]
+    (default: none), the effective mutations replayed on top of it since,
+    oldest first — the persistence layer guarantees both. With a delta,
+    the saturation is installed as pending. The store is sealed. *)
+
+val inherit_saturation : from:env -> delta:mutation list -> env -> unit
+(** Start [env]'s saturation from [from]'s state followed by [delta],
+    the effective data mutations (oldest first) that lead from [from]'s
+    store to [env]'s: current becomes pending on it, pending keeps its
+    source and appends [delta], absent stays absent. The two stores must
+    descend from one dictionary lineage (one is a copy of a later state
+    of the other's). When the epochs of the two environments are not
+    exactly [delta] apart (a schema move, or mutations [delta] does not
+    list), [env]'s saturation is absent. Nothing is computed here; the
+    serving front-end calls this per snapshot. *)
 
 val views : env -> Views.t
 (** The environment's materialized-view catalog (empty until views are
@@ -91,14 +118,19 @@ val refresh_views :
     by {!invalidate}); a data change refreshes affected views, using
     [delta] to keep or append provably-unaffected extents. *)
 
-val invalidate : env -> env
+val invalidate : ?delta:mutation list -> env -> env
 (** Refresh the environment after the underlying store changed (demo step
     4: modify data or constraints, re-run), driven by the store's
     monotonic epochs. A data-only change rebuilds statistics and drops the
-    cached saturation, cover traces and materialized fragments, but keeps
-    the schema closure, its fingerprint and the reformulation cache
-    (reformulation depends only on the schema). A schema change
-    additionally re-derives the closure and clears every cache level.
+    cover traces and materialized fragments, but keeps the schema
+    closure, its fingerprint and the reformulation cache (reformulation
+    depends only on the schema). When [delta] lists every effective
+    mutation since the last sync (oldest first), the cached saturation
+    is kept as pending and brought up to date on its next read (see
+    {!saturated}); without it, or past a fixed share of the store, the
+    saturation is dropped. Nothing is maintained here.
+    A schema change additionally re-derives the closure, drops the
+    saturation and clears every cache level.
     A schema change additionally drops every materialized view (their
     reformulations were computed under the old closure); data-stale views
     are kept but become unusable until {!refresh_views} runs, because

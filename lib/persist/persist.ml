@@ -127,11 +127,13 @@ let schema_pred p =
   || Term.equal p Vocab.rdfs_domain
   || Term.equal p Vocab.rdfs_range
 
-(* Replay one WAL's sound records onto [store]. Returns the counts and
-   the byte offset after the last record the recovered state accounts
-   for — the point the file must be cut back to before new appends. *)
+(* Replay one WAL's sound records onto [store]. Returns the counts, the
+   byte offset after the last record the recovered state accounts for —
+   the point the file must be cut back to before new appends — and the
+   replayed mutations, newest first. *)
 let replay store entries ~start =
   let replayed = ref 0 and skipped = ref 0 and discarded = ref 0 in
+  let applied = ref [] in
   let cut = ref start in
   let apply (r : Wal.record) =
     let data = Store.data_epoch store and schema = Store.schema_epoch store in
@@ -172,6 +174,8 @@ let replay store entries ~start =
         end
         else if Wal.lsn r = lsn_state + 1 && apply r then begin
           incr replayed;
+          let t = Triple.make r.Wal.s r.Wal.p r.Wal.o in
+          applied := (match r.Wal.op with `Add -> `Add t | `Remove -> `Remove t) :: !applied;
           cut := end_off;
           go rest
         end
@@ -182,13 +186,19 @@ let replay store entries ~start =
           discarded := !discarded + 1 + List.length rest
   in
   go entries;
-  (!replayed, !skipped, !discarded, !cut)
+  (!replayed, !skipped, !discarded, !cut, !applied)
 
 (* ------------------------------------------------------------------ *)
 (* Read-only recovery                                                  *)
 (* ------------------------------------------------------------------ *)
 
-type recovered = { store : Store.t; sat : Store.t option; report : report }
+type mutation = [ `Add of Triple.t | `Remove of Triple.t ]
+
+type recovered = {
+  store : Store.t;
+  sat : (Store.t * mutation list) option;
+  report : report;
+}
 
 (* What [open_dir] additionally needs to repair the directory. *)
 type wal_state = {
@@ -201,13 +211,14 @@ type wal_state = {
 let absent_wal = { w_exists = false; w_len = 0; w_header_ok = false; w_cut = 0 }
 
 let recover_wal io store p =
-  if not (Io.exists io p) then (no_counts, absent_wal, [])
+  if not (Io.exists io p) then (no_counts, absent_wal, [], [])
   else
     match Io.read_file io p with
     | Error m ->
         ( no_counts,
           { absent_wal with w_exists = true },
-          [ Printf.sprintf "%s: unreadable (%s)" (Filename.basename p) m ] )
+          [ Printf.sprintf "%s: unreadable (%s)" (Filename.basename p) m ],
+          [] )
     | Ok img ->
         let scan = Wal.scan img in
         let name = Filename.basename p in
@@ -221,7 +232,7 @@ let recover_wal io store p =
             ]
           else []
         in
-        let replayed, skipped, discarded, cut =
+        let replayed, skipped, discarded, cut, applied =
           replay store scan.Wal.entries ~start:(String.length Wal.header)
         in
         let notes =
@@ -245,7 +256,8 @@ let recover_wal io store p =
             w_header_ok = scan.Wal.header_ok;
             w_cut = (if scan.Wal.header_ok then cut else 0);
           },
-          notes )
+          notes,
+          applied )
 
 let load_snapshot io p =
   if not (Io.exists io p) then `Absent
@@ -285,8 +297,9 @@ let recover_internal io dir =
         from_prev true
   in
   let store = loaded.Snapshot.store in
-  let wal_prev, _, n1 = recover_wal io store (path dir `Wal_prev) in
-  let wal_cur, cur_state, n2 = recover_wal io store (path dir `Wal_cur) in
+  let wal_prev, _, n1, d1 = recover_wal io store (path dir `Wal_prev) in
+  let wal_cur, cur_state, n2, d2 = recover_wal io store (path dir `Wal_cur) in
+  let delta = List.rev_append d1 (List.rev d2) in
   notes := !notes @ n1 @ n2;
   let recovered = (Store.data_epoch store, Store.schema_epoch store) in
   let durable =
@@ -306,11 +319,17 @@ let recover_internal io dir =
     | Some (d, s) -> fst recovered + snd recovered < d + s
     | None -> false
   in
-  (* The snapshot's closure describes the snapshot's state; one replayed
-     record on top invalidates it (stale-not-wrong). *)
-  let sat_valid = wal_prev.replayed = 0 && wal_cur.replayed = 0 in
+  (* The snapshot's closure describes the snapshot's state: it is handed
+     on with the replayed data records as its delta. A replayed schema
+     record changes the closure itself and drops it. *)
+  let sat_valid =
+    not
+      (List.exists
+         (function `Add t | `Remove t -> Triple.is_schema_triple t)
+         delta)
+  in
   if (not sat_valid) && loaded.Snapshot.sat <> None then
-    note "saturation closure outdated by replay, dropped";
+    note "saturation closure outdated by a replayed schema record, dropped";
   let report =
     {
       source;
@@ -325,7 +344,14 @@ let recover_internal io dir =
       notes = !notes;
     }
   in
-  ( { store; sat = (if sat_valid then loaded.Snapshot.sat else None); report },
+  ( {
+      store;
+      sat =
+        (match loaded.Snapshot.sat with
+        | Some sat when sat_valid -> Some (sat, delta)
+        | _ -> None);
+      report;
+    },
     cur_state )
 
 let check_dir dir =
@@ -348,7 +374,7 @@ type t = {
   io : Io.t;
   dir : string;
   h_store : Store.t;
-  h_sat : Store.t option;
+  h_sat : (Store.t * mutation list) option;
   h_report : report;
   mutable app : Io.appender option;
   mutable closed : bool;

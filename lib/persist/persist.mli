@@ -69,8 +69,9 @@ type report = {
       (** recovery reached an LSN below [meta]'s — acknowledged
           mutations were lost; derived artifacts must not trust them *)
   sat_restored : bool;
-      (** the snapshot's saturation closure was reusable (no record was
-          replayed on top of it) *)
+      (** the snapshot's saturation closure was reusable: no schema record
+          was replayed on top of it (data records ride along as its
+          delta) *)
   rebuilt_indexes : bool;
   notes : string list;  (** one line per anomaly, oldest first *)
 }
@@ -82,7 +83,15 @@ val pp_report : report Fmt.t
 
 (** {1 Read-only recovery} *)
 
-type recovered = { store : Store.t; sat : Store.t option; report : report }
+type mutation = [ `Add of Refq_rdf.Triple.t | `Remove of Refq_rdf.Triple.t ]
+
+type recovered = {
+  store : Store.t;
+  sat : (Store.t * mutation list) option;
+      (** the snapshot's saturation and the data mutations replayed on
+          top of it since, oldest first *)
+  report : report;
+}
 
 val recover : ?io:Io.t -> string -> (recovered, string) result
 (** Reconstruct the store without writing anything — what audits use.
@@ -101,7 +110,9 @@ val open_dir : ?io:Io.t -> string -> (t, string) result
     first {!snapshot}). *)
 
 val store : t -> Store.t
-val sat : t -> Store.t option
+val sat : t -> (Store.t * mutation list) option
+(** As {!recovered}[.sat]. *)
+
 val report : t -> report
 
 val snapshot : ?sat:Store.t -> t -> unit

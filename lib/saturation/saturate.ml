@@ -15,32 +15,55 @@ type info = {
 }
 
 (* Id-level view of a closed schema: every rule premise becomes an integer
-   table lookup. Built once per outer round. *)
+   table lookup, and every rule conclusion a reverse lookup (the tables
+   deletion maintenance probes the base with). Built once per outer round
+   or maintenance call; schemas are small. *)
 type id_schema = {
   rdf_type : int;
   superclasses : (int, int list) Hashtbl.t;
   superproperties : (int, int list) Hashtbl.t;
   domains : (int, int list) Hashtbl.t;
   ranges : (int, int list) Hashtbl.t;
+  subclasses : (int, int list) Hashtbl.t;
+  subproperties : (int, int list) Hashtbl.t;
+  domain_props : (int, int list) Hashtbl.t;  (** class -> properties with it as domain *)
+  range_props : (int, int list) Hashtbl.t;
+  derives_schema : bool;
+      (** some property is a subproperty of an RDFS constraint predicate
+          (non-standard graphs): instance triples then derive schema
+          triples, and one [derive_one] per triple is no longer complete *)
 }
 
 let id_schema_of_closure dict closure =
   let encode = Dictionary.encode dict in
-  let table pairs_of =
+  let table pairs =
     let tbl = Hashtbl.create 64 in
     List.iter
       (fun (a, b) ->
-        let ka = encode a in
-        Hashtbl.replace tbl ka (encode b :: Option.value ~default:[] (Hashtbl.find_opt tbl ka)))
-      pairs_of;
+        Hashtbl.replace tbl a (b :: Option.value ~default:[] (Hashtbl.find_opt tbl a)))
+      pairs;
     tbl
   in
+  let ids pairs = List.map (fun (a, b) -> (encode a, encode b)) pairs in
+  let flip = List.map (fun (a, b) -> (b, a)) in
+  let sc = ids (Closure.subclass_pairs closure)
+  and sp = ids (Closure.subproperty_pairs closure)
+  and dom = ids (Closure.domain_pairs closure)
+  and rng = ids (Closure.range_pairs closure) in
   {
     rdf_type = encode Vocab.rdf_type;
-    superclasses = table (Closure.subclass_pairs closure);
-    superproperties = table (Closure.subproperty_pairs closure);
-    domains = table (Closure.domain_pairs closure);
-    ranges = table (Closure.range_pairs closure);
+    superclasses = table sc;
+    superproperties = table sp;
+    domains = table dom;
+    ranges = table rng;
+    subclasses = table (flip sc);
+    subproperties = table (flip sp);
+    domain_props = table (flip dom);
+    range_props = table (flip rng);
+    derives_schema =
+      List.exists
+        (fun (_, p) -> Vocab.is_schema_property p)
+        (Closure.subproperty_pairs closure);
   }
 
 let find_all tbl k = Option.value ~default:[] (Hashtbl.find_opt tbl k)
@@ -134,45 +157,46 @@ let round ?chunk sch src dst =
         bufs
     end
 
+(* The schema is the few triples under the four RDFS constraint
+   predicates: read their POS ranges, never the instance data. *)
 let schema_of_store st =
-  let g = ref Schema.empty in
-  Store.iter_all st (fun s p o ->
-      let t =
-        Triple.make (Store.decode_id st s) (Store.decode_id st p)
-          (Store.decode_id st o)
-      in
-      match Schema.constr_of_triple t with
-      | Some c -> g := Schema.add c !g
-      | None -> ());
-  !g
+  List.fold_left
+    (fun schema pred ->
+      match Store.find_term st pred with
+      | None -> schema
+      | Some p ->
+        let schema = ref schema in
+        Store.iter_pattern st ~s:None ~p:(Some p) ~o:None (fun s _ o ->
+            match
+              Schema.constr_of_triple
+                (Triple.make (Store.decode_id st s) pred (Store.decode_id st o))
+            with
+            | Some c -> schema := Schema.add c !schema
+            | None -> ());
+        !schema)
+    Schema.empty
+    Vocab.[ rdfs_subclassof; rdfs_subpropertyof; rdfs_domain; rdfs_range ]
 
 let store_info ?chunk db =
   let t0 = Sys.time () in
   let dict = Store.dictionary db in
   let rec fixpoint src rounds =
-    let schema = schema_of_store src in
-    let closure = Closure.of_schema schema in
+    let closure = Closure.of_schema (schema_of_store src) in
     let dst = Store.create ~dictionary:dict () in
     Store.iter_all src (fun s p o -> Store.add_ids dst s p o);
     (* Entailed schema triples (rdfs5, rdfs11 and the ext rules). *)
     Graph.iter
       (fun t -> Store.add_triple dst t)
       (Closure.entailed_schema_graph closure);
-    let sch = id_schema_of_closure dict closure in
-    round ?chunk sch src dst;
+    round ?chunk (id_schema_of_closure dict closure) src dst;
     (* Derived triples may themselves be schema triples (non-standard
-       graphs): in that case the schema grew and we must iterate. *)
-    let new_schema = schema_of_store dst in
-    if Store.size dst = Store.size src && rounds > 0 then (dst, rounds)
-    else if Schema.cardinal new_schema > Schema.cardinal schema then
+       graphs): then the schema grew past the closure and we must
+       iterate. Otherwise one more closed-schema round would add nothing:
+       every rule consequence of a derived triple is already covered by
+       the closed schema. *)
+    if Schema.cardinal (schema_of_store dst) > Closure.size closure then
       fixpoint dst (rounds + 1)
-    else begin
-      (* The schema is stable; one more closed-schema round is complete
-         iff it adds nothing, which holds because every rule consequence
-         of a derived triple is already covered by the closed schema.
-         We assert this in tests rather than re-scanning here. *)
-      (dst, rounds + 1)
-    end
+    else (dst, rounds + 1)
   in
   let result, rounds = fixpoint db 0 in
   ( result,
@@ -189,18 +213,18 @@ let store ?chunk db = fst (store_info ?chunk db)
 (* Incremental maintenance                                             *)
 (* ------------------------------------------------------------------ *)
 
-let add_incremental sat additions =
-  if List.exists Triple.is_schema_triple additions then begin
-    (* A constraint changed: the closure itself changes, so re-saturate.
-       Saturation is monotone and idempotent, so saturating the (already
-       saturated) store extended with the additions equals saturating the
-       original graph extended with them. *)
+let add_incremental ~closure sat additions =
+  let sch = id_schema_of_closure (Store.dictionary sat) closure in
+  if List.exists Triple.is_schema_triple additions || sch.derives_schema
+  then begin
+    (* The closure changes: re-saturate. Saturation is monotone and
+       idempotent, so saturating the (already saturated) store extended
+       with the additions equals saturating the original graph extended
+       with them. *)
     List.iter (Store.add_triple sat) additions;
     `Resaturated (store sat)
   end
   else begin
-    let closure = Closure.of_schema (schema_of_store sat) in
-    let sch = id_schema_of_closure (Store.dictionary sat) closure in
     let before = Store.size sat in
     List.iter
       (fun { Triple.s; p; o } ->
@@ -213,20 +237,42 @@ let add_incremental sat additions =
     `Incremental (Store.size sat - before)
   end
 
+(* Whether [base] still entails [(s, p, o)] in one [derive_one] step: the
+   rules run backwards through the reverse tables, one index probe per
+   possible premise. A premise under [rdf:type] only feeds the subclass
+   rule, exactly as in [derive_one]. *)
+let supported sch base s p o =
+  let mem = Store.mem_ids base in
+  let any ~s ~p ~o = Store.count_pattern base ~s ~p ~o > 0 in
+  let not_type p' = p' <> sch.rdf_type in
+  mem s p o
+  || List.exists
+       (fun p' -> not_type p' && mem s p' o)
+       (find_all sch.subproperties p)
+  || p = sch.rdf_type
+     && (List.exists (fun c -> mem s p c) (find_all sch.subclasses o)
+        || List.exists
+             (fun p' -> not_type p' && any ~s:(Some s) ~p:(Some p') ~o:None)
+             (find_all sch.domain_props o)
+        || List.exists
+             (fun p' -> not_type p' && any ~s:None ~p:(Some p') ~o:(Some s))
+             (find_all sch.range_props o))
+
 (* DRed-style deletion maintenance, specialized to single-instance-premise
    rules: the over-deletion of a triple is exactly [derive_one] of it, and
-   a one-pass scan of the remaining explicit triples re-derives every
-   candidate that is still entailed. *)
-let remove_incremental ~base sat deletions =
-  if List.exists Triple.is_schema_triple deletions then begin
-    (* The closure shrinks: derivations cannot be repaired locally. *)
+   each candidate survives iff the remaining explicit triples still derive
+   it in one step — checked by index probes, never a scan of the base. *)
+let remove_incremental ~closure ~base sat deletions =
+  let sch = id_schema_of_closure (Store.dictionary sat) closure in
+  if List.exists Triple.is_schema_triple deletions || sch.derives_schema
+  then begin
+    (* The closure shrinks (or instance triples feed it): derivations
+       cannot be repaired locally. *)
     List.iter (Store.remove_triple base) deletions;
     List.iter (Store.remove_triple sat) deletions;
     `Resaturated (store base)
   end
   else begin
-    let closure = Closure.of_schema (schema_of_store sat) in
-    let sch = id_schema_of_closure (Store.dictionary sat) closure in
     let before = Store.size sat in
     (* Over-deletion candidates: the deleted triples and everything they
        (alone) entail. *)
@@ -246,19 +292,9 @@ let remove_incremental ~base sat deletions =
       deletions;
     (* Remove the explicit deletions from the base of record first. *)
     List.iter (Store.remove_triple base) deletions;
-    (* Re-derivation: a candidate survives iff it is still explicit or is
-       entailed by a remaining explicit triple. *)
-    let survivors : (int * int * int, unit) Hashtbl.t = Hashtbl.create 64 in
-    let save s p o =
-      if Hashtbl.mem candidates (s, p, o) then
-        Hashtbl.replace survivors (s, p, o) ()
-    in
-    Store.iter_all base (fun s p o ->
-        save s p o;
-        derive_one sch ~emit:save s p o);
     Hashtbl.iter
       (fun (s, p, o) () ->
-        if not (Hashtbl.mem survivors (s, p, o)) then Store.remove_ids sat s p o)
+        if not (supported sch base s p o) then Store.remove_ids sat s p o)
       candidates;
     `Incremental (before - Store.size sat)
   end

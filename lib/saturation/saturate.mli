@@ -23,9 +23,16 @@ open Refq_storage
 type info = {
   input_triples : int;
   output_triples : int;
-  rounds : int;  (** outer fixpoint rounds (1 for standard graphs) *)
+  rounds : int;
+      (** outer fixpoint rounds run: 1 for standard graphs, more when
+          derived triples extend the schema; 0 for a saturation that was
+          restored or maintained rather than computed *)
   elapsed_s : float;
 }
+
+val schema_of_store : Store.t -> Refq_schema.Schema.t
+(** The store's RDFS constraints, read from the POS ranges of the four
+    constraint predicates only — the instance data is never decoded. *)
 
 val store : ?chunk:int -> Store.t -> Store.t
 (** [store db] is a new store (sharing [db]'s dictionary) holding [db∞].
@@ -47,32 +54,46 @@ val graph : Graph.t -> Graph.t
 (** Term-level convenience wrapper around {!store}. *)
 
 val add_incremental :
-  Store.t -> Triple.t list -> [ `Incremental of int | `Resaturated of Store.t ]
+  closure:Refq_schema.Closure.t ->
+  Store.t ->
+  Triple.t list ->
+  [ `Incremental of int | `Resaturated of Store.t ]
 (** Maintenance after insertions — the cost [Sat] pays that [Ref] avoids
-    (Section 1). The first argument must be a {e saturated} store.
+    (Section 1). The store argument must be a {e saturated} store and
+    [closure] the closure of its schema (the caller holds it already; it
+    is never re-read from the store).
 
     - Data-triple additions are absorbed in place: each new triple's
       consequences are derived in a single pass (the closed schema makes
       instance-level entailment one-shot). Returns the number of triples
-      actually added (additions plus consequences).
+      actually added (additions plus consequences). Cost: O(additions ×
+      schema fan-out).
     - If any addition is an RDFS constraint the schema closure itself
       changes and the store is re-saturated from scratch
-      ([`Resaturated]). *)
+      ([`Resaturated]); so it is when the closure makes a property a
+      subproperty of a constraint predicate (instance triples then
+      derive schema triples). *)
 
 val remove_incremental :
+  closure:Refq_schema.Closure.t ->
   base:Store.t ->
   Store.t ->
   Triple.t list ->
   [ `Incremental of int | `Resaturated of Store.t ]
 (** DRed-style maintenance after deletions ([9] handles {e dynamic} RDF
-    databases). [base] is the store of explicit triples (the deletions are
-    removed from it as part of the call); the second argument is its
-    saturation, updated in place. Over-deletion candidates are the deleted
-    triples plus their direct consequences; one scan of the remaining base
-    re-derives the survivors (sound and complete because every rule has a
-    single instance premise under the closed schema). Returns the number
-    of triples removed from the saturation, or a full re-saturation when a
-    deletion is an RDFS constraint (the closure itself shrinks). *)
+    databases). [base] is the store of explicit triples (deletions still
+    in it are removed as part of the call; ones already gone are left
+    alone, so a sealed base that already reflects them is fine); the
+    second argument is its saturation, sharing [base]'s dictionary,
+    updated in place; [closure] is the closure of [base]'s schema.
+    Over-deletion candidates are the deleted triples plus their direct
+    consequences; each survives iff the remaining base still derives it
+    in one rule step, checked by index probes through reverse tables of
+    the closed schema — O(deletions × schema fan-out × log store), no
+    scan of the base (sound and complete because every rule has a single
+    instance premise under the closed schema). Returns the number of
+    triples removed from the saturation, or a full re-saturation of
+    [base] under the same conditions as {!add_incremental}. *)
 
 val graph_reference : Graph.t -> Graph.t
 (** Brute-force fixpoint applying each rule triple-by-triple until no

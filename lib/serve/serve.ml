@@ -106,12 +106,17 @@ type t = {
           [config.trace] is on *)
 }
 
-let make_snapshot session =
+(* The new snapshot's saturation starts from [from]'s (the previous
+   snapshot's, or the session's at start) followed by [delta], the
+   batch's effective mutations: it is brought up to date on its first
+   [sat] read, never here on the write path. *)
+let make_snapshot ~from ~delta session =
   let copy = Store.copy (Session.store session) in
   Store.seal copy;
   let env =
     Answer.make_env ~cache:(Session.config session).Session.Config.cache copy
   in
+  Answer.inherit_saturation ~from ~delta env;
   (* The view catalog is shared with the live session: every view extent
      is pinned to the epochs it was built at, so against a snapshot it
      either matches exactly (same epochs) or misses — stale views go
@@ -272,12 +277,15 @@ let handle_update t muts =
   with_lock t.writer_m (fun () ->
       Conc_trace.section t.sec_writer @@ fun () ->
       Obs.incr c_writes;
-      let applied = Session.apply t.session muts in
+      let effective = Session.apply_effective t.session muts in
+      let applied = List.length effective in
       Obs.add c_applied applied;
       let snap =
         if applied > 0 then begin
           Obs.incr c_snapshots;
-          let snap = make_snapshot t.session in
+          let snap =
+            make_snapshot ~from:(pin t).snap_env ~delta:effective t.session
+          in
           with_lock t.state_m (fun () ->
               (* The swap event precedes publication, so every pin of
                  this snapshot is sequenced after its swap. *)
@@ -340,49 +348,75 @@ let rec write_all fd s off len =
     write_all fd s (off + n) (len - n)
   end
 
+(* The longest request line a connection may send. A longer one is
+   answered with an error and ends the connection, so one client cannot
+   grow a server buffer without bound. *)
+let max_line_bytes = 1 lsl 20
+
 (* Connection reads run under a short receive timeout so an idle client
    can never hold the drain hostage: every timeout tick re-checks
-   [stopping]. *)
+   [stopping]. Each byte read is scanned once: complete lines queue up,
+   and only the unfinished tail is kept in [partial]. *)
 let serve_conn t fd =
   Obs.incr c_connections;
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.2;
   let chunk = Bytes.create 4096 in
-  let pending = Buffer.create 256 in
+  let partial = Buffer.create 256 in
+  let lines = Queue.create () in
+  let split n =
+    let start = ref 0 in
+    for i = 0 to n - 1 do
+      if Bytes.get chunk i = '\n' then begin
+        Buffer.add_subbytes partial chunk !start (i - !start);
+        Queue.push (Buffer.contents partial) lines;
+        Buffer.clear partial;
+        start := i + 1
+      end
+    done;
+    Buffer.add_subbytes partial chunk !start (n - !start)
+  in
   let rec next_line () =
-    let s = Buffer.contents pending in
-    match String.index_opt s '\n' with
-    | Some i ->
-      Buffer.clear pending;
-      Buffer.add_string pending
-        (String.sub s (i + 1) (String.length s - i - 1));
-      Some (String.sub s 0 i)
+    match Queue.take_opt lines with
+    | Some line when String.length line > max_line_bytes -> `Too_long
+    | Some line -> `Line line
     | None ->
-      if t.stopping then None
+      if Buffer.length partial > max_line_bytes then `Too_long
+      else if t.stopping then `End
       else (
         match Unix.read fd chunk 0 (Bytes.length chunk) with
         | 0 ->
-          if String.length s > 0 then begin
-            Buffer.clear pending;
-            Some s
+          if Buffer.length partial > 0 then begin
+            Queue.push (Buffer.contents partial) lines;
+            Buffer.clear partial;
+            next_line ()
           end
-          else None
+          else `End
         | n ->
-          Buffer.add_subbytes pending chunk 0 n;
+          split n;
           next_line ()
         | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
           next_line ())
   in
+  (* A client that hung up before its response arrives closes the
+     connection, nothing more (SIGPIPE is ignored, see [start]). *)
+  let respond resp k =
+    match write_all fd (resp ^ "\n") 0 (String.length resp + 1) with
+    | () -> k ()
+    | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> ()
+  in
   let rec loop () =
     match next_line () with
-    | None -> ()
-    | Some line when String.trim line = "" -> loop ()
-    | Some line -> (
-      let resp = handle t line in
-      (* A client that hung up before its response arrives closes the
-         connection, nothing more (SIGPIPE is ignored, see [start]). *)
-      match write_all fd (resp ^ "\n") 0 (String.length resp + 1) with
-      | () -> if not t.stopping then loop ()
-      | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> ())
+    | `End -> ()
+    | `Too_long ->
+      Obs.incr c_errors;
+      respond
+        (Protocol.error
+           (Printf.sprintf "request line longer than %d bytes; closing"
+              max_line_bytes))
+        ignore
+    | `Line line when String.trim line = "" -> loop ()
+    | `Line line ->
+      respond (handle t line) (fun () -> if not t.stopping then loop ())
   in
   (try loop () with Unix.Unix_error _ -> () | Sys_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
@@ -456,7 +490,7 @@ let start ?(config = Config.default) session =
           state_m = Mutex.create ();
           eval_m = Mutex.create ();
           writer_m = Mutex.create ();
-          current = make_snapshot session;
+          current = make_snapshot ~from:(Session.env session) ~delta:[] session;
           stopping = false;
           conns = [];
           acceptor = None;

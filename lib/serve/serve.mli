@@ -20,6 +20,12 @@
     caches are single-threaded state, and honesty beats a data race.
     Request deadlines and row caps reuse {!Refq_fault.Budget}.
 
+    {b Saturation under updates.} Each snapshot's environment inherits
+    the previous snapshot's saturation plus the batch's effective
+    mutations ({!Refq_core.Answer.inherit_saturation}); the first [sat]
+    read on a snapshot brings it up to date in O(delta). Nothing is
+    maintained on the write path.
+
     {b Drain.} [shutdown] (the protocol verb) or {!stop} stops admission,
     lets in-flight requests finish, then closes the session — flushing
     the WAL and rotating a fresh snapshot generation, so the directory
@@ -68,6 +74,11 @@ val start : ?config:Config.t -> Session.t -> (t, string) result
 
 val port : t -> int
 (** The bound port (the ephemeral one when [config.port] was 0). *)
+
+val max_line_bytes : int
+(** The longest request line a connection may send (1 MiB). A longer line
+    is answered with a structured error, after which the server closes
+    that connection; others are unaffected. *)
 
 val handle : t -> string -> string
 (** Process one request line to one response line, exactly as a

@@ -118,7 +118,9 @@ let open_ ?(config = Config.default) ?store () =
     | Error m -> Error m
     | Ok (st, restored_sat, persist, recovery, seeded) ->
       let env = Answer.make_env ~cache:config.Config.cache st in
-      Option.iter (Answer.install_saturated env) restored_sat;
+      Option.iter
+        (fun (sat, delta) -> Answer.install_saturated ~delta env sat)
+        restored_sat;
       let views_loaded, views_skipped, views_error =
         match config.Config.views_file with
         | Some side -> load_views env side
@@ -175,17 +177,25 @@ let cache_stats t =
   check_open t;
   Answer.cache_stats t.env
 
-let apply t muts =
+(* A mutation is effective iff it moved an epoch; the environment gets
+   exactly those, so its saturation is maintained rather than dropped. *)
+let apply_effective t muts =
   check_open t;
-  let d0 = Store.data_epoch t.store and s0 = Store.schema_epoch t.store in
-  List.iter
-    (function
-      | `Add tr -> Store.add_triple t.store tr
-      | `Remove tr -> Store.remove_triple t.store tr)
-    muts;
-  let d1 = Store.data_epoch t.store and s1 = Store.schema_epoch t.store in
-  sync t;
-  d1 - d0 + (s1 - s0)
+  let epochs () = Store.data_epoch t.store + Store.schema_epoch t.store in
+  let effective =
+    List.filter
+      (fun m ->
+        let before = epochs () in
+        (match m with
+        | `Add tr -> Store.add_triple t.store tr
+        | `Remove tr -> Store.remove_triple t.store tr);
+        epochs () <> before)
+      muts
+  in
+  ignore (Answer.invalidate ~delta:effective t.env);
+  effective
+
+let apply t muts = List.length (apply_effective t muts)
 
 let snapshot t =
   check_open t;

@@ -122,12 +122,18 @@ val decode : t -> Relation.t -> Term.t list list
 
 val cache_stats : t -> Refq_cache.Cache.stats list
 
-val apply : t -> [ `Add of Triple.t | `Remove of Triple.t ] list -> int
+val apply_effective :
+  t -> Answer.mutation list -> Answer.mutation list
 (** Apply a mutation batch to the live store — removals and insertions in
-    list order — and re-sync the environment. Returns the number of
+    list order — and re-sync the environment with the batch's
     {e effective} mutations (duplicate inserts and absent removals are
-    no-ops); each effective one bumped an epoch and, under persistence,
-    appended a WAL record. *)
+    no-ops), which it returns in order. Each effective one bumped an
+    epoch and, under persistence, appended a WAL record. A data-only
+    batch keeps the environment's saturation, to be brought up to date
+    on its next read ({!Answer.invalidate}). *)
+
+val apply : t -> [ `Add of Triple.t | `Remove of Triple.t ] list -> int
+(** [List.length (apply_effective t muts)]. *)
 
 val snapshot : t -> unit
 (** Collapse the WAL into a new snapshot generation now (no-op without

@@ -410,27 +410,35 @@ let unseal st =
   trace st T_unseal
 
 (* Freeze first so the copy starts from the canonical (compacted, indexed)
-   shape and can share nothing mutable with the original: once copied, the
-   two stores never observe each other's mutations. The delta hook is
+   shape: once copied, the two stores never observe each other's
+   mutations. The permutation arrays are shared, since no code writes
+   into one after it is built ([compact] and [freeze] replace them with
+   fresh arrays); the triple vector, which [compact] rewrites in place,
+   is copied. The delta hook is
    deliberately not carried over — a snapshot copy must not feed the
-   original's WAL. *)
-let copy st =
+   original's WAL. A given [dictionary] replaces the private dictionary
+   copy; the memo of schema predicates is then rebuilt on demand, since
+   it is keyed by ids of the old one. *)
+let copy ?dictionary st =
   freeze st;
   let c =
   {
     uid = Atomic.fetch_and_add uids 1;
-    dict = Dictionary.copy st.dict;
-    triples = Int_vec.of_array (Int_vec.to_array st.triples);
+    dict =
+      (match dictionary with Some d -> d | None -> Dictionary.copy st.dict);
+    triples = Int_vec.copy st.triples;
     seen = Hashtbl.copy st.seen;
-    spo = Array.copy st.spo;
-    pos = Array.copy st.pos;
-    osp = Array.copy st.osp;
+    spo = st.spo;
+    pos = st.pos;
+    osp = st.osp;
     frozen = st.frozen;
     removed = Int_vec.create ();
     data_epoch = st.data_epoch;
     schema_epoch = st.schema_epoch;
     hook = None;
-    schema_preds = Hashtbl.copy st.schema_preds;
+    schema_preds =
+      (if Option.is_none dictionary then Hashtbl.copy st.schema_preds
+       else Hashtbl.create 16);
     sealed = false;
   }
   in

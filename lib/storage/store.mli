@@ -120,14 +120,19 @@ val unseal : t -> unit
 
 val sealed : t -> bool
 
-val copy : t -> t
-(** An independent deep copy: same triples, same dictionary ids, same
-    epoch pair, freshly built (shared-shape) indexes — and no aliasing, so
-    mutations on either side never reach the other. The copy starts
+val copy : ?dictionary:Dictionary.t -> t -> t
+(** An independent copy: same triples, same dictionary ids, same epoch
+    pair, and the same permutation indexes — shared, since no index array
+    is ever written after it is built — so mutations on either side never
+    reach the other. The copy starts
     unsealed and without a delta hook (a snapshot copy must not feed the
     original's WAL). This is the copy-on-bump primitive of the serving
     front-end: the writer copies the live store after a batch commits,
-    seals the copy and hands it to readers as the next epoch snapshot. *)
+    seals the copy and hands it to readers as the next epoch snapshot.
+
+    With [dictionary], the copy uses that dictionary (shared, not copied)
+    instead of a private copy of the original's: the caller guarantees
+    that every id the original holds names the same term there. *)
 
 val iter_pattern :
   t -> s:int option -> p:int option -> o:int option ->

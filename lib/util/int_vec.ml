@@ -62,4 +62,6 @@ let of_array a =
   append_array v a;
   v
 
+let copy v = { data = Array.sub v.data 0 (max 1 v.len); len = v.len }
+
 let unsafe_data v = v.data

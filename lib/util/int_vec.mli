@@ -34,6 +34,10 @@ val to_array : t -> int array
 
 val of_array : int array -> t
 
+val copy : t -> t
+(** An independent vector with the same elements, allocated once at its
+    length. *)
+
 val unsafe_data : t -> int array
 (** Backing array; only indices [< length] are meaningful. Exposed for
     sort/scan loops in the storage layer. *)

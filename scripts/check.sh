@@ -60,6 +60,12 @@ echo "== wco differential smoke (engines agree under the domain pool)"
 # (dune runtest already covers the 1-domain sweep).
 REFQ_DOMAINS=4 dune exec test/test_differential.exe -- test 'wco' >/dev/null
 
+echo "== maintained-saturation differential smoke (seventh axis under the domain pool)"
+# The seventh axis routes the cached-mutations suite through Session.apply
+# and checks the maintained saturation against a fresh one at every step;
+# REFQ_DOMAINS=4 fans the fresh saturations' rounds out over the pool.
+REFQ_DOMAINS=4 dune exec test/test_differential.exe -- test 'cached' >/dev/null
+
 echo "== wco engine smoke (answer --engine wco --explain on bundled workloads)"
 wco_queries() {
   case "$1" in

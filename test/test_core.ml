@@ -62,6 +62,39 @@ let test_saturation_cached () =
   let s2, _ = Answer.saturated env in
   Alcotest.(check bool) "same store" true (s1 == s2)
 
+(* A snapshot-style chain: env1 over a copy of the live store saturates
+   it, allocating [rdf:type] privately (the data has no type triple);
+   the live store then allocates that same id to another term, and env2,
+   over a later copy, inherits env1's saturation plus the write. Forcing
+   it must translate the private id, not reuse it. *)
+let test_saturation_inherited_across_dictionaries () =
+  let u = Fixtures.uri in
+  let live = Store.create () in
+  Store.add_triple live (Triple.make (u "p") Vocab.rdfs_domain (u "C"));
+  List.iter
+    (fun i ->
+      Store.add_triple live
+        (Triple.make (u (Printf.sprintf "a%d" i)) (u "p") (u "b")))
+    [ 1; 2; 3; 4; 5; 6 ];
+  let env1 = Answer.make_env (Store.copy live) in
+  let _ = Answer.saturated env1 in
+  Alcotest.(check bool) "rdf:type private to env1" true
+    (Store.find_term live Vocab.rdf_type = None);
+  let write = Triple.make (u "z") (u "q") (u "w") in
+  Store.add_triple live write;
+  let env2 = Answer.make_env (Store.copy live) in
+  Answer.inherit_saturation ~from:env1 ~delta:[ `Add write ] env2;
+  let sat, info = Answer.saturated env2 in
+  Alcotest.(check int) "maintained, not recomputed" 0
+    info.Refq_saturation.Saturate.rounds;
+  Alcotest.(check bool) "equals a fresh saturation" true
+    (Graph.equal (Store.to_graph sat)
+       (Store.to_graph (Refq_saturation.Saturate.store (Answer.store env2))));
+  let q = Cq.make ~head:[ Cq.var "x" ] ~body:[ Cq.atom (Cq.var "x") (Cq.cst Vocab.rdf_type) (Cq.cst (u "C")) ] in
+  match Answer.answer env2 q Strategy.Saturation with
+  | Ok r -> Alcotest.(check int) "six typed" 6 (Answer.n_answers r)
+  | Error f -> Alcotest.fail f.Answer.reason
+
 let test_max_disjuncts_failure () =
   let env = Lazy.force borges_env in
   match
@@ -252,6 +285,8 @@ let () =
           Alcotest.test_case "user cover" `Quick test_user_cover_strategy;
           Alcotest.test_case "cover mismatch" `Quick test_cover_mismatch_rejected;
           Alcotest.test_case "saturation cached" `Quick test_saturation_cached;
+          Alcotest.test_case "saturation inherited across dictionaries" `Quick
+            test_saturation_inherited_across_dictionaries;
           Alcotest.test_case "max_disjuncts failure" `Quick
             test_max_disjuncts_failure;
           Alcotest.test_case "invalidate" `Quick test_invalidate_reflects_changes;

@@ -26,6 +26,28 @@ let workloads =
     ("geo", fun () -> Refq_workload.Geo.generate ~scale:1 ());
   ]
 
+(* Domain-pool sizes: [REFQ_DOMAINS] (comma- or space-separated counts)
+   narrows the parallel suite's sweep so CI can pin one count per run.
+   The wco and maintained-saturation axes default to the sequential pool
+   (the parallel suite already sweeps the counts); [REFQ_DOMAINS] widens
+   them — CI reruns them at 4 domains to drive the wco chunked path and
+   the saturation rounds' fan-out. *)
+let parallel_domain_counts =
+  match Sys.getenv_opt "REFQ_DOMAINS" with
+  | None | Some "" -> [ 1; 2; 4 ]
+  | Some s ->
+    let counts =
+      String.split_on_char ',' s
+      |> List.concat_map (String.split_on_char ' ')
+      |> List.filter_map int_of_string_opt
+    in
+    if counts = [] then [ 1; 2; 4 ] else counts
+
+let axis_domain_counts =
+  match Sys.getenv_opt "REFQ_DOMAINS" with
+  | None | Some "" -> [ 1 ]
+  | Some _ -> parallel_domain_counts
+
 let pp_rows ppf rows =
   Fmt.pf ppf "%d rows" (List.length rows);
   List.iteri
@@ -186,9 +208,48 @@ let check_rebuilt ~workload ~step env (name, q) =
           workload name step seed (Strategy.name s) m)
     Strategy.[ Ucq; Scq; Gcov; Datalog; Saturation ]
 
+(* The seventh axis, maintained Sat = fresh Sat: the mutations go
+   through [Session.apply], so the environment's saturation is carried
+   across data writes as a pending delta and brought up to date on its
+   next read. At every step it must hold exactly the triples of a fresh
+   saturation of the base, and a pure data step must have been absorbed
+   by one maintenance application, not by a saturation round. *)
+module Session = Refq_serve.Session
+module Saturate = Refq_saturation.Saturate
+module Obs = Refq_obs.Obs
+
+let c_maintained = Obs.counter "saturate.maintained"
+let c_rounds = Obs.counter "saturate.rounds"
+
+let check_maintained ~workload ~step env effective =
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  let m0 = Obs.value c_maintained and r0 = Obs.value c_rounds in
+  let sat, _ = Answer.saturated env in
+  let maintained = Obs.value c_maintained - m0
+  and rounds = Obs.value c_rounds - r0 in
+  Obs.set_enabled was;
+  let fresh = Saturate.store (Answer.store env) in
+  if not (Graph.equal (Store.to_graph sat) (Store.to_graph fresh)) then
+    Alcotest.failf
+      "%s step %d: maintained saturation (%d triples) differs from a fresh \
+       one (%d triples)"
+      workload step (Store.size sat) (Store.size fresh);
+  let schema =
+    List.exists
+      (function `Add t | `Remove t -> Triple.is_schema_triple t)
+      effective
+  in
+  let want_maintained = if effective = [] || schema then 0 else 1 in
+  if maintained <> want_maintained || (rounds > 0) <> schema then
+    Alcotest.failf
+      "%s step %d: %d maintenance application(s) and %d saturation \
+       round(s) for %d effective mutation(s)%s"
+      workload step maintained rounds (List.length effective)
+      (if schema then " with a schema change" else "")
+
 let test_cached_with_mutations (workload, make_store) () =
   let store = make_store () in
-  let env = Answer.make_env store in
   let queries = Query_gen.generate ~seed store ~count:queries_per_workload in
   (* Victim triples for data mutations: removed and re-added so answers
      really change under the caches. *)
@@ -197,28 +258,64 @@ let test_cached_with_mutations (workload, make_store) () =
     Graph.iter (fun t -> all := t :: !all) (Store.to_graph store);
     List.filteri (fun i _ -> i < 4) !all
   in
+  (* A fresh support [t = (s p o)] and its one consequence [d = (s type c)]
+     through a domain of [p] (fresh terms, so [t] is [d]'s only support):
+     [d] is added when already derived, kept when [t] goes (it is
+     explicit), and deleted while [t] still derives it. *)
+  let support, derived =
+    match
+      Refq_schema.Closure.domain_pairs
+        (Answer.closure_of_store store)
+    with
+    | (p, c) :: _ ->
+      let fresh n = Term.uri ("http://example.org/differential#" ^ n) in
+      ( Triple.make (fresh "s") p (fresh "o"),
+        Triple.make (fresh "s") Vocab.rdf_type c )
+    | [] -> Alcotest.failf "%s: the schema declares no domain" workload
+  in
   let schema_triple =
     Triple.make
       (Term.uri "http://example.org/differential#Fresh")
       Vocab.rdfs_subclassof
       (Term.uri "http://example.org/differential#Fresher")
   in
-  let mutate step =
-    (match (step / 7) mod 4 with
-    | 0 -> List.iter (Store.remove_triple store) victims
-    | 1 -> List.iter (Store.add_triple store) victims
-    | 2 -> Store.add_triple store schema_triple
-    | _ -> Store.remove_triple store schema_triple);
-    ignore (Answer.invalidate env)
+  let mutations step =
+    match (step / 7) mod 8 with
+    | 0 -> List.map (fun t -> `Remove t) victims
+    | 1 -> List.map (fun t -> `Add t) victims
+    | 2 -> [ `Add schema_triple ]
+    | 3 -> [ `Remove schema_triple ]
+    | 4 -> [ `Add support; `Add derived ]
+    | 5 -> [ `Remove support ]
+    | 6 -> [ `Add support ]
+    | _ -> [ `Remove derived ]
   in
-  List.iteri
-    (fun step q ->
-      if step mod 7 = 0 && step > 0 then begin
-        mutate step;
-        check_rebuilt ~workload ~step env q
-      end;
-      check_cached ~workload ~step env q)
-    queries
+  List.iter
+    (fun domains ->
+      let config = Session.Config.(default |> with_domains domains) in
+      let session =
+        match Session.of_store ~config (Store.copy store) with
+        | Ok s -> s
+        | Error m -> Alcotest.fail m
+      in
+      let env = Session.env session in
+      let workload = Printf.sprintf "%s@%dd" workload domains in
+      Fun.protect
+        ~finally:(fun () -> Refq_par.Par.set_domains 1)
+        (fun () ->
+          List.iteri
+            (fun step q ->
+              if step mod 7 = 0 && step > 0 then begin
+                let effective =
+                  Session.apply_effective session (mutations step)
+                in
+                check_maintained ~workload ~step env effective;
+                check_rebuilt ~workload ~step env q
+              end
+              else if step = 0 then ignore (Answer.saturated env);
+              check_cached ~workload ~step env q)
+            queries))
+    axis_domain_counts
 
 (* ------------------------------------------------------------------ *)
 (* Views on vs views off, across interleaved insert/delete batches     *)
@@ -332,7 +429,9 @@ let persisted_env store =
     if not report.Persist.sat_restored then
       Alcotest.fail "saturation closure was not restored from the snapshot";
     let env = Answer.make_env (Persist.store h) in
-    Option.iter (Answer.install_saturated env) (Persist.sat h);
+    Option.iter
+      (fun (sat, delta) -> Answer.install_saturated ~delta env sat)
+      (Persist.sat h);
     Persist.close h;
     (dir, env)
 
@@ -384,19 +483,7 @@ module Par = Refq_par.Par
    decoded) answer sets to the sequential oracle, the base store's epochs
    never move (answering reads; the seal enforces it), and the saturated
    store — built through the parallel rounds — lands on identical size
-   and epochs. [REFQ_DOMAINS] (comma- or space-separated counts) narrows
-   the sweep so CI can pin one count per run. *)
-
-let parallel_domain_counts =
-  match Sys.getenv_opt "REFQ_DOMAINS" with
-  | None | Some "" -> [ 1; 2; 4 ]
-  | Some s ->
-    let counts =
-      String.split_on_char ',' s
-      |> List.concat_map (String.split_on_char ' ')
-      |> List.filter_map int_of_string_opt
-    in
-    if counts = [] then [ 1; 2; 4 ] else counts
+   and epochs. *)
 
 let parallel_strategies =
   Strategy.[ Saturation; Ucq; Scq; Gcov; Datalog ]
@@ -474,14 +561,6 @@ let engine_answers env config q s =
   | Ok r -> Ok (Answer.decode env r.Answer.answers)
   | Error f -> Error f.Answer.reason
 
-(* Default to the sequential pool (the parallel suite already sweeps the
-   domain counts); [REFQ_DOMAINS] widens the sweep — CI reruns this axis
-   at 4 domains to drive the wco chunked path. *)
-let wco_domain_counts =
-  match Sys.getenv_opt "REFQ_DOMAINS" with
-  | None | Some "" -> [ 1 ]
-  | Some _ -> parallel_domain_counts
-
 let test_wco_parity (workload, make_store) () =
   let store = make_store () in
   let queries = Query_gen.generate ~seed store ~count:queries_per_workload in
@@ -522,7 +601,7 @@ let test_wco_parity (workload, make_store) () =
                     [ Answer.Wco; Answer.Auto ])
                 parallel_strategies)
             queries)
-        wco_domain_counts)
+        axis_domain_counts)
 
 let () =
   Alcotest.run "differential"

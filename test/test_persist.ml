@@ -500,6 +500,82 @@ let test_crash_consistency () =
   List.iter check_fault faults
 
 (* ------------------------------------------------------------------ *)
+(* The restored closure across a WAL tail                              *)
+(* ------------------------------------------------------------------ *)
+
+module Session = Refq_serve.Session
+module Answer = Refq_core.Answer
+module Saturate = Refq_saturation.Saturate
+module Strategy = Refq_core.Strategy
+
+(* A snapshot carrying its saturation, then a WAL tail of [tail] on top
+   (written by a live handle that is closed without a new snapshot). *)
+let dir_with_tail tail =
+  let dir = fresh_dir () in
+  let h = Result.get_ok (Persist.open_dir dir) in
+  let st = Persist.store h in
+  Graph.iter (Store.add_triple st)
+    (Store.to_graph (Refq_workload.Lubm.generate ~scale:1 ()));
+  Persist.snapshot ~sat:(Saturate.store st) h;
+  List.iter (apply st) tail;
+  Persist.close h;
+  dir
+
+let ub n = Term.uri (Refq_workload.Lubm.ns ^ n)
+let member = t (ex "newStudent") (ub "memberOf") (Term.uri "http://www.Department0.University0.edu")
+
+(* A data-only tail keeps the closure, as pending: the first Sat read
+   maintains it — one maintenance application, no saturation round —
+   and lands on exactly a fresh saturation's triples and answers. *)
+let test_sat_across_wal_tail () =
+  let dir =
+    dir_with_tail
+      [ A member; A (t (ex "newStudent") Vocab.rdf_type (ub "GraduateStudent")) ]
+  in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let config = Session.Config.(default |> with_persist_dir dir) in
+  let session = Result.get_ok (Session.open_ ~config ()) in
+  let report = Option.get (Session.info session).Session.recovery in
+  Alcotest.(check int) "tail replayed" 2 report.Persist.wal_cur.Persist.replayed;
+  Alcotest.(check bool) "closure restored" true report.Persist.sat_restored;
+  let counter = Refq_obs.Obs.counter in
+  let rounds = counter "saturate.rounds" and maintained = counter "saturate.maintained" in
+  Refq_obs.Obs.set_enabled true;
+  let r0 = Refq_obs.Obs.value rounds and m0 = Refq_obs.Obs.value maintained in
+  let sat, _ = Answer.saturated (Session.env session) in
+  let ran = Refq_obs.Obs.value rounds - r0 and applied = Refq_obs.Obs.value maintained - m0 in
+  Refq_obs.Obs.set_enabled false;
+  Alcotest.(check int) "no saturation round" 0 ran;
+  Alcotest.(check int) "one maintenance application" 1 applied;
+  let fresh_env = Answer.make_env (Store.copy (Session.store session)) in
+  let fresh, _ = Answer.saturated fresh_env in
+  Alcotest.(check bool) "saturated triples = fresh" true
+    (Graph.equal (Store.to_graph sat) (Store.to_graph fresh));
+  List.iter
+    (fun (name, q) ->
+      let rows env r = List.sort compare (Answer.decode env r.Answer.answers) in
+      match
+        ( Session.answer session q Strategy.Saturation,
+          Answer.answer fresh_env q Strategy.Saturation )
+      with
+      | Ok a, Ok b ->
+        if rows (Session.env session) a <> rows fresh_env b then
+          Alcotest.failf "%s: Sat answers differ from a fresh saturation" name
+      | _ -> Alcotest.failf "%s: Sat failed" name)
+    Refq_workload.Lubm.queries;
+  Session.close session
+
+(* A schema record in the tail changes the closure itself: dropped. *)
+let test_sat_dropped_by_schema_tail () =
+  let dir = dir_with_tail [ A member; A (t (c 1) Vocab.rdfs_subclassof (c 2)) ] in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  match Persist.recover dir with
+  | Error m -> Alcotest.fail m
+  | Ok r ->
+    Alcotest.(check bool) "closure dropped" false r.Persist.report.Persist.sat_restored;
+    Alcotest.(check bool) "no saturation handed on" true (r.Persist.sat = None)
+
+(* ------------------------------------------------------------------ *)
 (* Observability                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -560,6 +636,13 @@ let () =
         [
           Alcotest.test_case "every fault point recovers to a prefix" `Slow
             test_crash_consistency;
+        ] );
+      ( "saturation",
+        [
+          Alcotest.test_case "kept across a data-only WAL tail" `Quick
+            test_sat_across_wal_tail;
+          Alcotest.test_case "dropped by a schema record" `Quick
+            test_sat_dropped_by_schema_tail;
         ] );
       ("obs", [ Alcotest.test_case "counters" `Quick test_counters ]);
     ]

@@ -3,6 +3,8 @@
 open Refq_rdf
 open Refq_saturation
 
+let closure_of st = Refq_schema.Closure.of_schema (Saturate.schema_of_store st)
+
 let test_borges_saturation () =
   (* Figure 2: the dashed (implicit) triples. *)
   let sat = Saturate.graph Fixtures.borges_graph in
@@ -83,6 +85,52 @@ let test_info () =
   Alcotest.(check int) "output" 13 info.Saturate.output_triples;
   Alcotest.(check int) "rounds" 1 info.Saturate.rounds
 
+(* A standard graph is saturated in one round: the closure's entailed
+   schema triples are not a schema change. *)
+let test_lubm_one_round () =
+  let st = Refq_workload.Lubm.generate ~scale:1 () in
+  let rounds = Refq_obs.Obs.counter "saturate.rounds" in
+  let was = Refq_obs.Obs.enabled () in
+  Refq_obs.Obs.set_enabled true;
+  let r0 = Refq_obs.Obs.value rounds in
+  let _, info = Saturate.store_info st in
+  let ran = Refq_obs.Obs.value rounds - r0 in
+  Refq_obs.Obs.set_enabled was;
+  Alcotest.(check int) "rounds run" 1 ran;
+  Alcotest.(check int) "rounds reported" 1 info.Saturate.rounds
+
+(* A non-standard graph: a property under rdfs:subClassOf turns an
+   instance triple into a schema triple, which must feed a second round. *)
+let test_schema_from_data () =
+  let u = Fixtures.uri in
+  let g =
+    Graph.of_list
+      [
+        Triple.make (u "isA") Vocab.rdfs_subpropertyof Vocab.rdfs_subclassof;
+        Triple.make (u "A") (u "isA") (u "B");
+        Triple.make (u "x") Vocab.rdf_type (u "A");
+      ]
+  in
+  let sat, info = Saturate.store_info (Refq_storage.Store.of_graph g) in
+  Alcotest.(check int) "rounds" 2 info.Saturate.rounds;
+  Alcotest.(check bool) "x type B" true
+    (Graph.mem
+       (Triple.make (u "x") Vocab.rdf_type (u "B"))
+       (Refq_storage.Store.to_graph sat));
+  Alcotest.(check bool) "equals the reference" true
+    (Graph.equal (Refq_storage.Store.to_graph sat) (Saturate.graph_reference g));
+  (* Maintenance cannot absorb data that derives schema triples. *)
+  let base = Refq_storage.Store.of_graph g in
+  let sat = Saturate.store base in
+  let add = Triple.make (u "y") Vocab.rdf_type (u "A") in
+  match Saturate.add_incremental ~closure:(closure_of base) sat [ add ] with
+  | `Resaturated sat' ->
+    Alcotest.(check bool) "resaturated = fresh" true
+      (Graph.equal
+         (Refq_storage.Store.to_graph sat')
+         (Saturate.graph (Graph.add add g)))
+  | `Incremental _ -> Alcotest.fail "schema-deriving data must re-saturate"
+
 (* ------------------------------------------------------------------ *)
 (* Incremental maintenance                                             *)
 (* ------------------------------------------------------------------ *)
@@ -92,7 +140,7 @@ let test_incremental_data () =
   let sat = Saturate.store sat in
   let doi2 = Fixtures.uri "doi2" in
   let additions = [ Triple.make doi2 Fixtures.written_by (Term.bnode "b2") ] in
-  (match Saturate.add_incremental sat additions with
+  (match Saturate.add_incremental ~closure:(closure_of sat) sat additions with
   | `Incremental n ->
     (* doi2 writtenBy b2 entails: hasAuthor, doi2 type Book/Publication,
        b2 type Person. *)
@@ -114,7 +162,7 @@ let test_incremental_schema_triggers_resaturation () =
   let additions =
     [ Triple.make Fixtures.publication Vocab.rdfs_subclassof (Fixtures.uri "Work") ]
   in
-  match Saturate.add_incremental sat additions with
+  match Saturate.add_incremental ~closure:(closure_of sat) sat additions with
   | `Resaturated sat' ->
     Alcotest.(check bool) "new entailment" true
       (Graph.mem
@@ -131,7 +179,7 @@ let test_removal_incremental () =
   (* Deleting the writtenBy edge retracts hasAuthor and b1's Person type,
      but doi1 stays a Book (still explicit) and a Publication. *)
   let deletions = [ Triple.make Fixtures.doi1 Fixtures.written_by Fixtures.b1 ] in
-  (match Saturate.remove_incremental ~base sat deletions with
+  (match Saturate.remove_incremental ~closure:(closure_of base) ~base sat deletions with
   | `Incremental n -> Alcotest.(check int) "retracted" 3 n
   | `Resaturated _ -> Alcotest.fail "data deletion should be incremental");
   let g = Refq_storage.Store.to_graph sat in
@@ -160,7 +208,7 @@ let test_removal_rederivation () =
   let base = Refq_storage.Store.of_graph g in
   let sat = Saturate.store base in
   (match
-     Saturate.remove_incremental ~base sat [ Triple.make (u "a") (u "p") (u "b") ]
+     Saturate.remove_incremental ~closure:(closure_of base) ~base sat [ Triple.make (u "a") (u "p") (u "b") ]
    with
   | `Incremental n -> Alcotest.(check int) "only the edge goes" 1 n
   | `Resaturated _ -> Alcotest.fail "should be incremental");
@@ -173,7 +221,7 @@ let test_removal_schema_resaturates () =
   let base = Refq_storage.Store.of_graph Fixtures.borges_graph in
   let sat = Saturate.store base in
   match
-    Saturate.remove_incremental ~base sat
+    Saturate.remove_incremental ~closure:(closure_of base) ~base sat
       [ Triple.make Fixtures.book Vocab.rdfs_subclassof Fixtures.publication ]
   with
   | `Resaturated sat' ->
@@ -190,7 +238,7 @@ let test_removal_mixed_batch_resaturates () =
   let base = Refq_storage.Store.of_graph Fixtures.borges_graph in
   let sat = Saturate.store base in
   match
-    Saturate.remove_incremental ~base sat
+    Saturate.remove_incremental ~closure:(closure_of base) ~base sat
       [
         Triple.make Fixtures.doi1 Fixtures.written_by Fixtures.b1;
         Triple.make Fixtures.written_by Vocab.rdfs_subpropertyof
@@ -226,7 +274,7 @@ let test_removal_dred_cascade () =
   let base = Refq_storage.Store.of_graph g in
   let sat = Saturate.store base in
   (match
-     Saturate.remove_incremental ~base sat
+     Saturate.remove_incremental ~closure:(closure_of base) ~base sat
        [ Triple.make (u "a") (u "p") (u "b") ]
    with
   | `Incremental n -> Alcotest.(check int) "edge + its q-copy retracted" 2 n
@@ -259,7 +307,7 @@ let prop_removal_equals_full =
       let base = Refq_storage.Store.of_graph g in
       let sat = Saturate.store base in
       let result =
-        match Saturate.remove_incremental ~base sat deletions with
+        match Saturate.remove_incremental ~closure:(closure_of base) ~base sat deletions with
         | `Incremental _ -> Refq_storage.Store.to_graph sat
         | `Resaturated s -> Refq_storage.Store.to_graph s
       in
@@ -278,7 +326,7 @@ let prop_incremental_equals_full =
     (fun (g, adds) ->
       let sat = Saturate.store (Refq_storage.Store.of_graph g) in
       let incr_result =
-        match Saturate.add_incremental sat adds with
+        match Saturate.add_incremental ~closure:(closure_of sat) sat adds with
         | `Incremental _ -> Refq_storage.Store.to_graph sat
         | `Resaturated s -> Refq_storage.Store.to_graph s
       in
@@ -286,6 +334,41 @@ let prop_incremental_equals_full =
         Saturate.graph (List.fold_left (fun g t -> Graph.add t g) g adds)
       in
       Graph.equal incr_result full)
+
+(* Both primitives in the order a pending saturation is brought up to
+   date: the net removals re-derived against the final base (which
+   already holds the additions), then the net additions. *)
+let prop_maintained_equals_full =
+  QCheck2.Test.make ~name:"remove then add against the final base = saturate(F)"
+    ~count:300
+    ~print:(fun ((g, dels), adds) ->
+      Printf.sprintf "%s\ndeletions:\n%s\nadditions:\n%s" (Fixtures.print_graph g)
+        (Fixtures.print_graph (Graph.of_list dels))
+        (Fixtures.print_graph (Graph.of_list adds)))
+    (QCheck2.Gen.pair gen_deletion_instance gen_additions)
+    (fun ((g, deletions), additions) ->
+      let base = Refq_storage.Store.of_graph g in
+      let sat = Saturate.store base in
+      let closure = closure_of base in
+      let final =
+        List.fold_left
+          (fun f t -> Graph.add t f)
+          (List.fold_left (fun f t -> Graph.remove t f) g deletions)
+          additions
+      in
+      let removed = List.filter (fun t -> not (Graph.mem t final)) deletions
+      and added = List.filter (fun t -> not (Graph.mem t g)) additions in
+      List.iter (Refq_storage.Store.remove_triple base) removed;
+      List.iter (Refq_storage.Store.add_triple base) added;
+      let result =
+        match Saturate.remove_incremental ~closure ~base sat removed with
+        | `Resaturated s -> s
+        | `Incremental _ -> (
+          match Saturate.add_incremental ~closure sat added with
+          | `Incremental _ -> sat
+          | `Resaturated s -> s)
+      in
+      Graph.equal (Refq_storage.Store.to_graph result) (Saturate.graph final))
 
 let prop_matches_reference =
   QCheck2.Test.make ~name:"store saturation = brute-force fixpoint" ~count:60
@@ -313,6 +396,9 @@ let () =
           Alcotest.test_case "subproperty chain" `Quick test_subproperty_chain;
           Alcotest.test_case "range on literal" `Quick test_range_to_literal;
           Alcotest.test_case "info" `Quick test_info;
+          Alcotest.test_case "LUBM in one round" `Quick test_lubm_one_round;
+          Alcotest.test_case "schema derived from data iterates" `Quick
+            test_schema_from_data;
           QCheck_alcotest.to_alcotest prop_matches_reference;
           QCheck_alcotest.to_alcotest prop_idempotent;
           QCheck_alcotest.to_alcotest prop_monotone;
@@ -331,7 +417,11 @@ let () =
             test_removal_mixed_batch_resaturates;
           Alcotest.test_case "DRed cascade re-derivation" `Quick
             test_removal_dred_cascade;
-          QCheck_alcotest.to_alcotest prop_incremental_equals_full;
-          QCheck_alcotest.to_alcotest prop_removal_equals_full;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2026 |])
+            prop_incremental_equals_full;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2026 |])
+            prop_removal_equals_full;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2026 |])
+            prop_maintained_equals_full;
         ] );
     ]

@@ -405,6 +405,55 @@ let test_connection_gauge () =
   Serve.wait server;
   disconnect scraper
 
+(* The line reader assembles a request from any split of its bytes: one
+   byte per write (no Nagle coalescing) is answered like a whole line. *)
+let test_bytewise_request () =
+  let session = session_exn (Session.of_store (store_of book_stmts)) in
+  let server = server_exn (Serve.start session) in
+  let ((sock, ic, _) as c) = connect (Serve.port server) in
+  Unix.setsockopt sock Unix.TCP_NODELAY true;
+  let line = answer_req "q(x) :- x rdf:type ex:Publication" ^ "\n" in
+  String.iteri
+    (fun i ch ->
+      ignore (Unix.write_substring sock (String.make 1 ch) 0 1);
+      if i mod 16 = 0 then Thread.delay 0.001)
+    line;
+  let resp = input_line ic in
+  Alcotest.(check bool) "answered" true (is_ok resp);
+  Alcotest.(check int) "one answer" 1 (answers_of resp);
+  ignore (request c (req [ ("op", Json.String "shutdown") ]));
+  Serve.wait server;
+  disconnect c
+
+(* A line over the cap gets a structured error and that connection is
+   closed; the server keeps serving new ones. Exactly one byte over the
+   cap is sent, so the server has read everything when it closes. *)
+let test_overlong_line () =
+  let session = session_exn (Session.of_store (store_of book_stmts)) in
+  let server = server_exn (Serve.start session) in
+  let ((sock, ic, oc) as c) = connect (Serve.port server) in
+  (* A reader that never answers fails the test instead of hanging it. *)
+  Unix.setsockopt_float sock Unix.SO_RCVTIMEO 10.;
+  (try
+     output_string oc (String.make (Serve.max_line_bytes + 1) 'x');
+     flush oc
+   with Sys_error _ -> ());
+  let resp = input_line ic in
+  Alcotest.(check bool) "structured error" false (is_ok resp);
+  Alcotest.(check bool) "names the cap" true (contains resp "longer than");
+  (match input_line ic with
+  | extra -> Alcotest.failf "connection still open, got %S" extra
+  | exception End_of_file -> ()
+  | exception Sys_error _ -> ());
+  disconnect c;
+  let c2 = connect (Serve.port server) in
+  Alcotest.(check bool)
+    "a new connection is served" true
+    (is_ok (request c2 {|{"op":"ping"}|}));
+  ignore (request c2 (req [ ("op", Json.String "shutdown") ]));
+  Serve.wait server;
+  disconnect c2
+
 (* ------------------------------------------------------------------ *)
 (* The isolation property                                              *)
 (* ------------------------------------------------------------------ *)
@@ -437,12 +486,17 @@ let batch i =
 
 let batches = List.concat_map batch (List.init n_batches (fun i -> i + 1))
 
+(* The [sat] reads make snapshots inherit and force their predecessor's
+   saturation while the writer publishes new ones; the replay answers
+   them from a fresh saturation. *)
 let reader_queries =
   [
     ("q(x) :- x rdf:type ub:Professor", "ucq");
     ("q(x) :- x rdf:type ub:Professor", "gcov");
+    ("q(x) :- x rdf:type ub:Professor", "sat");
     ("q(x,y) :- x ub:advisor y", "ucq");
     ("q(x,y) :- x ub:advisor y", "scq");
+    ("q(x,y) :- x ub:advisor y", "sat");
     ("q(x) :- x rdf:type ub:Student", "gcov");
   ]
 
@@ -624,6 +678,10 @@ let () =
             test_tcp_roundtrip;
           Alcotest.test_case "client hang-up keeps it up" `Quick
             test_client_hangup;
+          Alcotest.test_case "request sent byte by byte" `Quick
+            test_bytewise_request;
+          Alcotest.test_case "over-long line closes only its connection"
+            `Quick test_overlong_line;
           Alcotest.test_case "open-connections gauge" `Quick
             test_connection_gauge;
         ] );
