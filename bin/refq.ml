@@ -1878,7 +1878,7 @@ let snapshot_cmd =
         Fmt.pr "%a@." Persist.pp_report (Persist.report h);
         Fmt.pr "store: %d triple(s), %d dictionary id(s)@." (Store.size st)
           (Dictionary.size (Store.dictionary st));
-        (match Persist.sat h with
+        (match Persist.take_sat h with
         | Some (sst, delta) ->
           Fmt.pr "saturation: %d triple(s) restored, %d mutation(s) to apply@."
             (Store.size sst) (List.length delta)

@@ -140,10 +140,18 @@ type env = {
   mutable data_epoch : int;  (** store epochs last seen by [invalidate] *)
   mutable schema_epoch : int;
   mutable views : Views.t;  (** materialized-view catalog (empty by default) *)
+  policy : Cache.policy;  (** sizes of [caches] *)
   caches : caches;
 }
 
 let closure_of_store store = Closure.of_schema (Saturate.schema_of_store store)
+
+let fresh_caches (policy : Cache.policy) =
+  {
+    reform = Cache.Lru.create ~name:"reform" ~capacity:policy.reform_capacity;
+    cover = Cache.Lru.create ~name:"cover" ~capacity:policy.cover_capacity;
+    results = Cache.Lru.create ~name:"result" ~capacity:policy.result_capacity;
+  }
 
 let make_env ?(cache = Cache.default_policy) store =
   let closure = closure_of_store store in
@@ -157,15 +165,8 @@ let make_env ?(cache = Cache.default_policy) store =
     data_epoch = Store.data_epoch store;
     schema_epoch = Store.schema_epoch store;
     views = Views.create ();
-    caches =
-      {
-        reform =
-          Cache.Lru.create ~name:"reform" ~capacity:cache.Cache.reform_capacity;
-        cover =
-          Cache.Lru.create ~name:"cover" ~capacity:cache.Cache.cover_capacity;
-        results =
-          Cache.Lru.create ~name:"result" ~capacity:cache.Cache.result_capacity;
-      };
+    policy = cache;
+    caches = fresh_caches cache;
   }
 
 let store env = env.store
@@ -372,6 +373,33 @@ let invalidate ?delta env =
     env.data_epoch <- d
   end;
   env
+
+(* The copy holds the synced source's triple set under the same ids, so
+   the closure, its fingerprint and the statistics (never mutated after
+   [Stats.compute], a function of the triple set) carry over; only the
+   cardinality environment's store is rebased. The view catalog is
+   shared: every view extent is pinned to the epochs it was built at, so
+   against a snapshot it either matches exactly or misses — stale views
+   go cold, never wrong. *)
+let snapshot_env src =
+  ignore (invalidate src);
+  let store = Store.copy src.store in
+  Store.seal store;
+  {
+    store;
+    closure = src.closure;
+    schema_fp = src.schema_fp;
+    card_env = { src.card_env with Cardinality.store };
+    sat = Atomic.make Absent;
+    ids_at_make = Dictionary.size (Store.dictionary store);
+    data_epoch = src.data_epoch;
+    schema_epoch = src.schema_epoch;
+    views = src.views;
+    policy = src.policy;
+    caches = fresh_caches src.policy;
+  }
+
+let release_saturation env = Atomic.set env.sat Absent
 
 let refresh_views ?delta ?full_threshold env =
   (* Maintenance runs against the *current* closure and statistics:

@@ -40,6 +40,22 @@ val make_env : ?cache:Cache.policy -> Store.t -> env
 (** [cache] sizes the per-level LRUs ({!Cache.default_policy} when
     omitted). *)
 
+val snapshot_env : env -> env
+(** A sealed read environment over a copy of [src]'s store, for a
+    serving snapshot. [src] is re-synced first ({!invalidate}, a no-op
+    when its epochs are current); the store is copied ({!Store.copy}, no
+    work in proportion to the store) and sealed. The closure, its
+    fingerprint and the statistics are [src]'s, shared rather than
+    recomputed — statistics are a function of the triple set, which the
+    copy holds under the same ids — so the snapshot costs no statistics
+    pass. The view catalog is shared; the caches start empty and the
+    saturation absent (see {!inherit_saturation}). *)
+
+val release_saturation : env -> unit
+(** Forget the cached saturation, whatever its state, so the
+    environment no longer keeps a saturated store alive. The next
+    [Saturation] run computes a fresh one. *)
+
 val store : env -> Store.t
 
 val epochs : env -> int * int

@@ -374,14 +374,17 @@ type t = {
   io : Io.t;
   dir : string;
   h_store : Store.t;
-  h_sat : (Store.t * mutation list) option;
+  mutable h_sat : (Store.t * mutation list) option;
   h_report : report;
   mutable app : Io.appender option;
   mutable closed : bool;
 }
 
 let store t = t.h_store
-let sat t = t.h_sat
+let take_sat t =
+  let sat = t.h_sat in
+  t.h_sat <- None;
+  sat
 let report t = t.h_report
 
 let detach t =

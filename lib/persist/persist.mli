@@ -110,8 +110,10 @@ val open_dir : ?io:Io.t -> string -> (t, string) result
     first {!snapshot}). *)
 
 val store : t -> Store.t
-val sat : t -> (Store.t * mutation list) option
-(** As {!recovered}[.sat]. *)
+val take_sat : t -> (Store.t * mutation list) option
+(** As {!recovered}[.sat], handed over once: the handle forgets it, so
+    it does not keep the restored saturation alive, and a second call
+    returns [None]. *)
 
 val report : t -> report
 

@@ -32,6 +32,10 @@ type id_schema = {
       (** some property is a subproperty of an RDFS constraint predicate
           (non-standard graphs): instance triples then derive schema
           triples, and one [derive_one] per triple is no longer complete *)
+  constrains_type : bool;
+      (** [rdf:type] has a superproperty, a subproperty, a domain or a
+          range (non-standard graphs): a derived type triple then has
+          consequences of its own, so derivation must run to a fixpoint *)
 }
 
 let id_schema_of_closure dict closure =
@@ -64,6 +68,14 @@ let id_schema_of_closure dict closure =
       List.exists
         (fun (_, p) -> Vocab.is_schema_property p)
         (Closure.subproperty_pairs closure);
+    constrains_type =
+      (let is_type = Term.equal Vocab.rdf_type in
+       List.exists
+         (fun (a, b) -> is_type a || is_type b)
+         (Closure.subproperty_pairs closure)
+       || List.exists
+            (fun (p, _) -> is_type p)
+            (Closure.domain_pairs closure @ Closure.range_pairs closure));
   }
 
 let find_all tbl k = Option.value ~default:[] (Hashtbl.find_opt tbl k)
@@ -73,12 +85,14 @@ let find_all tbl k = Option.value ~default:[] (Hashtbl.find_opt tbl k)
    are transitively closed (with domains/ranges propagated both along
    subproperties and up subclasses), one application per triple derives
    everything that triple entails — no fixpoint needed at the instance
-   level. *)
+   level, unless the schema constrains [rdf:type] itself
+   ([constrains_type]): then a type triple also feeds rdfs7, rdfs2 and
+   rdfs3, and the triples it derives need [derive_one] in turn. *)
 let derive_one sch ~emit s p o =
   if p = sch.rdf_type then
     (* rdfs9 through the closed subclass relation *)
-    List.iter (fun c -> emit s sch.rdf_type c) (find_all sch.superclasses o)
-  else begin
+    List.iter (fun c -> emit s sch.rdf_type c) (find_all sch.superclasses o);
+  if p <> sch.rdf_type || sch.constrains_type then begin
     (* rdfs7 through the closed subproperty relation *)
     List.iter (fun p' -> emit s p' o) (find_all sch.superproperties p);
     (* rdfs2 / rdfs3 through the closed domains and ranges *)
@@ -102,9 +116,16 @@ let derive_one sch ~emit s p o =
    it); by default the round targets [Par.fanout] chunks. *)
 let round ?chunk sch src dst =
   Obs.incr c_rounds;
-  let emit s p o =
+  (* Under a schema constraining [rdf:type], a newly derived triple is
+     derived from in turn: a worklist in the call stack, bounded by the
+     finite saturation. *)
+  let rec emit s p o =
     Obs.incr c_derived;
-    Store.add_ids dst s p o
+    if not sch.constrains_type then Store.add_ids dst s p o
+    else if not (Store.mem_ids dst s p o) then begin
+      Store.add_ids dst s p o;
+      derive_one sch ~emit s p o
+    end
   in
   match Refq_par.Par.get () with
   | None -> Store.iter_all src (fun s p o -> derive_one sch ~emit s p o)
@@ -215,7 +236,9 @@ let store ?chunk db = fst (store_info ?chunk db)
 
 let add_incremental ~closure sat additions =
   let sch = id_schema_of_closure (Store.dictionary sat) closure in
-  if List.exists Triple.is_schema_triple additions || sch.derives_schema
+  if
+    List.exists Triple.is_schema_triple additions
+    || sch.derives_schema || sch.constrains_type
   then begin
     (* The closure changes: re-saturate. Saturation is monotone and
        idempotent, so saturating the (already saturated) store extended
@@ -264,7 +287,9 @@ let supported sch base s p o =
    it in one step — checked by index probes, never a scan of the base. *)
 let remove_incremental ~closure ~base sat deletions =
   let sch = id_schema_of_closure (Store.dictionary sat) closure in
-  if List.exists Triple.is_schema_triple deletions || sch.derives_schema
+  if
+    List.exists Triple.is_schema_triple deletions
+    || sch.derives_schema || sch.constrains_type
   then begin
     (* The closure shrinks (or instance triples feed it): derivations
        cannot be repaired locally. *)

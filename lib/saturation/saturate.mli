@@ -72,7 +72,9 @@ val add_incremental :
       changes and the store is re-saturated from scratch
       ([`Resaturated]); so it is when the closure makes a property a
       subproperty of a constraint predicate (instance triples then
-      derive schema triples). *)
+      derive schema triples), or constrains [rdf:type] itself (a
+      superproperty, subproperty, domain or range of [rdf:type]: derived
+      type triples then have consequences of their own). *)
 
 val remove_incremental :
   closure:Refq_schema.Closure.t ->

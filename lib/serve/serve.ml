@@ -111,17 +111,8 @@ type t = {
    batch's effective mutations: it is brought up to date on its first
    [sat] read, never here on the write path. *)
 let make_snapshot ~from ~delta session =
-  let copy = Store.copy (Session.store session) in
-  Store.seal copy;
-  let env =
-    Answer.make_env ~cache:(Session.config session).Session.Config.cache copy
-  in
+  let env = Session.snapshot_env session in
   Answer.inherit_saturation ~from ~delta env;
-  (* The view catalog is shared with the live session: every view extent
-     is pinned to the epochs it was built at, so against a snapshot it
-     either matches exactly (same epochs) or misses — stale views go
-     cold, never wrong. *)
-  Answer.set_views env (Answer.views (Session.env session));
   { snap_env = env; snap_epochs = Answer.epochs env }
 
 let with_lock m f =
@@ -481,6 +472,12 @@ let start ?(config = Config.default) session =
       let scope = Conc_trace.fresh_scope () in
       let sec_writer = Printf.sprintf "writer#%d" scope in
       let sec_eval = Printf.sprintf "eval#%d" scope in
+      (* The first snapshot inherits the session's saturation; readers
+         only ever use snapshots, so the session then lets go of it
+         rather than keep a saturated store alive under a growing
+         delta. *)
+      let current = make_snapshot ~from:(Session.env session) ~delta:[] session in
+      Answer.release_saturation (Session.env session);
       let t =
         {
           session;
@@ -490,7 +487,7 @@ let start ?(config = Config.default) session =
           state_m = Mutex.create ();
           eval_m = Mutex.create ();
           writer_m = Mutex.create ();
-          current = make_snapshot ~from:(Session.env session) ~delta:[] session;
+          current;
           stopping = false;
           conns = [];
           acceptor = None;

@@ -112,7 +112,7 @@ let open_ ?(config = Config.default) ?store () =
               added
             | _ -> 0
           in
-          Ok (st, Persist.sat h, Some h, Some (Persist.report h), seeded))
+          Ok (st, Persist.take_sat h, Some h, Some (Persist.report h), seeded))
     in
     match opened with
     | Error m -> Error m
@@ -196,6 +196,10 @@ let apply_effective t muts =
   effective
 
 let apply t muts = List.length (apply_effective t muts)
+
+let snapshot_env t =
+  check_open t;
+  Answer.snapshot_env t.env
 
 let snapshot t =
   check_open t;

@@ -135,6 +135,12 @@ val apply_effective :
 val apply : t -> [ `Add of Triple.t | `Remove of Triple.t ] list -> int
 (** [List.length (apply_effective t muts)]. *)
 
+val snapshot_env : t -> Answer.env
+(** A sealed read environment over a copy of the live store, at the
+    current epochs ({!Answer.snapshot_env}): it shares the session's
+    closure and statistics and costs no statistics pass. Its saturation
+    starts absent. The serving front-end builds one per writer batch. *)
+
 val snapshot : t -> unit
 (** Collapse the WAL into a new snapshot generation now (no-op without
     persistence). May raise [Refq_fault.Io.Crash] under fault injection. *)

@@ -20,7 +20,16 @@ val find : t -> Term.t -> int option
 val copy : t -> t
 (** An independent dictionary with the same term ↔ id mapping: ids are
     preserved, and later allocations in either copy never affect the
-    other. The snapshot primitive behind {!Store.copy}. *)
+    other. The snapshot primitive behind {!Store.copy}.
+
+    The two share an immutable generation (a term → id table and an
+    id → term array, never written once shared) and each gets a private
+    copy of the small tail of ids allocated since that generation was
+    last shared; a copy costs that tail, not the dictionary. A tail that
+    outgrows a fixed fraction of its generation is folded with it into
+    a new generation, so allocation stays amortized O(1) per id. A
+    reader may look terms up in one copy while another domain allocates
+    in the other: no table a copy can reach is ever resized under it. *)
 
 val decode : t -> int -> Term.t
 (** @raise Invalid_argument on an unallocated id — the message names the

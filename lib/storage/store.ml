@@ -4,16 +4,23 @@ module Int_vec = Refq_util.Int_vec
 type t = {
   uid : int;  (** process-unique store identity, for the concurrency trace *)
   dict : Dictionary.t;
-  triples : Int_vec.t;  (** stride 3: s, p, o *)
-  seen : (int * int * int, unit) Hashtbl.t;
+  mutable triples : Int_vec.t;
+      (** stride 3: s, p, o. Copy-on-write: while [triples_shared], the
+          vector is also another store's, and the first mutation of
+          either store replaces its own reference with a private copy. *)
+  mutable triples_shared : bool;
+  mutable size : int;  (** live triples *)
+  appended : (int * int * int, unit) Hashtbl.t;
+      (** live keys appended past [frozen] since the last [freeze] *)
+  removed : (int * int * int, unit) Hashtbl.t;
+      (** keys removed since the last [freeze]; a key also in [appended]
+          was re-added since *)
   mutable spo : int array;  (** permutations over triple indices *)
   mutable pos : int array;
   mutable osp : int array;
   mutable frozen : int;
       (** triples the permutations cover: the vector prefix indexed by
           the last [freeze]; entries past it are the appended delta *)
-  removed : Int_vec.t;
-      (** stride 3: keys removed from [seen] since the last [freeze] *)
   mutable data_epoch : int;
   mutable schema_epoch : int;
   mutable hook : (delta -> unit) option;
@@ -59,12 +66,14 @@ let create ?dictionary () =
     uid = Atomic.fetch_and_add uids 1;
     dict;
     triples = Int_vec.create ~capacity:4096 ();
-    seen = Hashtbl.create 4096;
+    triples_shared = false;
+    size = 0;
+    appended = Hashtbl.create 4096;
+    removed = Hashtbl.create 16;
     spo = [||];
     pos = [||];
     osp = [||];
     frozen = 0;
-    removed = Int_vec.create ();
     data_epoch = 0;
     schema_epoch = 0;
     hook = None;
@@ -82,10 +91,9 @@ let sealed_fail what =
 
 let dictionary st = st.dict
 
-(* Removals only mark the [seen] set; the triple vector keeps stale
-   entries until the next [freeze] compacts it, so [size] must come from
-   [seen]. *)
-let size st = Hashtbl.length st.seen
+(* Removals only record the key; the triple vector keeps stale entries
+   until the next [freeze] compacts it, so [size] is counted apart. *)
+let size st = st.size
 
 let s_of st i = Int_vec.get st.triples (3 * i)
 let p_of st i = Int_vec.get st.triples ((3 * i) + 1)
@@ -138,11 +146,49 @@ let restore_epochs st ~data ~schema =
 let notify st op s p o =
   match st.hook with None -> () | Some f -> f { op; s; p; o }
 
-let add_ids st s p o =
+(* Make the triple vector this store's own before writing into it. *)
+let own_triples st =
+  if st.triples_shared then begin
+    st.triples <- Int_vec.copy st.triples;
+    st.triples_shared <- false
+  end
+
+(* Position of triple (s, p, o) in the SPO permutation of the frozen
+   prefix, if indexed there. *)
+let spo_position st s p o =
+  let spo = st.spo in
+  let lo = ref 0 and hi = ref (Array.length spo) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let i = spo.(mid) in
+    let c = Int.compare (s_of st i) s in
+    let c = if c <> 0 then c else Int.compare (p_of st i) p in
+    let c = if c <> 0 then c else Int.compare (o_of st i) o in
+    if c >= 0 then hi := mid else lo := mid + 1
+  done;
+  let k = !lo in
+  if
+    k < Array.length spo
+    && s_of st spo.(k) = s
+    && p_of st spo.(k) = p
+    && o_of st spo.(k) = o
+  then Some k
+  else None
+
+(* A key appended since the last freeze is live; otherwise one removed
+   since is dead; otherwise the frozen prefix decides. *)
+let mem_ids st s p o =
   let key = (s, p, o) in
-  if not (Hashtbl.mem st.seen key) then begin
+  (Hashtbl.length st.appended > 0 && Hashtbl.mem st.appended key)
+  || (Hashtbl.length st.removed = 0 || not (Hashtbl.mem st.removed key))
+     && Option.is_some (spo_position st s p o)
+
+let add_ids st s p o =
+  if not (mem_ids st s p o) then begin
     if st.sealed then sealed_fail "add_ids";
-    Hashtbl.add st.seen key ();
+    Hashtbl.add st.appended (s, p, o) ();
+    st.size <- st.size + 1;
+    own_triples st;
     Int_vec.push st.triples s;
     Int_vec.push st.triples p;
     Int_vec.push st.triples o;
@@ -174,26 +220,29 @@ let of_graph g =
   add_graph st g;
   st
 
+(* The vector may hold stale or repeated entries between a removal and
+   the next compaction; with nothing removed since, every entry is live
+   and distinct. *)
 let to_graph st =
-  (* Iterate the membership set, not the triple vector: the vector may
-     hold stale entries between a removal and the next compaction. *)
-  Hashtbl.fold
-    (fun (s, p, o) () g ->
-      Graph.add
-        (Triple.make (decode_id st s) (decode_id st p) (decode_id st o))
-        g)
-    st.seen Graph.empty
-
-let mem_ids st s p o = Hashtbl.mem st.seen (s, p, o)
+  let all = Hashtbl.length st.removed = 0 in
+  let g = ref Graph.empty in
+  for i = 0 to (Int_vec.length st.triples / 3) - 1 do
+    let s = s_of st i and p = p_of st i and o = o_of st i in
+    if all || mem_ids st s p o then
+      g :=
+        Graph.add
+          (Triple.make (decode_id st s) (decode_id st p) (decode_id st o))
+          !g
+  done;
+  !g
 
 let remove_ids st s p o =
-  let key = (s, p, o) in
-  if Hashtbl.mem st.seen key then begin
+  if mem_ids st s p o then begin
     if st.sealed then sealed_fail "remove_ids";
-    Hashtbl.remove st.seen key;
-    Int_vec.push st.removed s;
-    Int_vec.push st.removed p;
-    Int_vec.push st.removed o;
+    let key = (s, p, o) in
+    Hashtbl.remove st.appended key;
+    Hashtbl.replace st.removed key ();
+    st.size <- st.size - 1;
     bump_epoch st p;
     notify st `Remove s p o;
     trace st T_mutate
@@ -258,34 +307,28 @@ let range st key perm ~b1 ~b2 ~b3 =
   in
   (lo, hi)
 
-(* Position of triple (s, p, o) in the SPO permutation, if indexed. *)
-let spo_position st s p o =
-  let lo, hi = range st key_spo st.spo ~b1:(Some s) ~b2:(Some p) ~b3:(Some o) in
-  if lo < hi then Some lo else None
-
 let dirty st =
-  Int_vec.length st.triples > 3 * st.frozen || Int_vec.length st.removed > 0
+  Int_vec.length st.triples > 3 * st.frozen || Hashtbl.length st.removed > 0
 
 (* Drop the vector entries whose triple is no longer (or no longer
-   uniquely) in [seen], keeping the first surviving occurrence of each
-   triple in vector order, and renumber the indexed prefix's
-   permutations to match. Only a key removed since the last freeze can
-   be dead or duplicated — [add_ids] never appends a key [seen] holds —
-   so the work is a table of the removed keys, a binary search per key
-   on the SPO permutation and one in-place pass over the vector. *)
+   uniquely) live, keeping the first surviving occurrence of each triple
+   in vector order, and renumber the indexed prefix's permutations to
+   match. Only a key removed since the last freeze can be dead or
+   duplicated — [add_ids] never appends a live key — so the work is a
+   table of the removed keys, a binary search per key on the SPO
+   permutation and one in-place pass over the vector. *)
 let compact st =
-  let nr = Int_vec.length st.removed / 3 in
+  let nr = Hashtbl.length st.removed in
   if nr > 0 then begin
+    own_triples st;
     (* Per removed key: [`Open] while live with no entry kept yet,
-       [`Kept] once one is, [`Dead] if no longer in [seen]. An entry is
-       kept only in the [`Open] state. *)
+       [`Kept] once one is, [`Dead] if no longer live. An entry is kept
+       only in the [`Open] state. *)
     let state = Hashtbl.create nr in
-    for j = 0 to nr - 1 do
-      let r k = Int_vec.get st.removed ((3 * j) + k) in
-      let key = (r 0, r 1, r 2) in
-      Hashtbl.replace state key
-        (if Hashtbl.mem st.seen key then `Open else `Dead)
-    done;
+    Hashtbl.iter
+      (fun ((s, p, o) as key) () ->
+        Hashtbl.replace state key (if mem_ids st s p o then `Open else `Dead))
+      st.removed;
     let dead = ref [] in
     Hashtbl.filter_map_inplace
       (fun (s, p, o) v ->
@@ -328,7 +371,7 @@ let compact st =
       end
     done;
     Int_vec.truncate st.triples (3 * !w);
-    Int_vec.clear st.removed;
+    Hashtbl.reset st.removed;
     let nd = Array.length dead in
     if nd > 0 then begin
       (* Index [i] of a surviving prefix entry moves down by the number
@@ -384,6 +427,8 @@ let merge_delta st key base n =
   Array.blit base !src out (!src + Array.length delta) (nb - !src);
   out
 
+(* [reset], not [clear]: a bulk load grows [appended] to the store's
+   size, and [clear] would keep that bucket array. *)
 let freeze st =
   if dirty st then begin
     compact st;
@@ -393,7 +438,8 @@ let freeze st =
       st.pos <- merge_delta st key_pos st.pos n;
       st.osp <- merge_delta st key_osp st.osp n;
       st.frozen <- n
-    end
+    end;
+    Hashtbl.reset st.appended
   end
 
 (* Sealing freezes first so worker domains never trigger the lazy index
@@ -410,29 +456,34 @@ let unseal st =
   trace st T_unseal
 
 (* Freeze first so the copy starts from the canonical (compacted, indexed)
-   shape: once copied, the two stores never observe each other's
-   mutations. The permutation arrays are shared, since no code writes
-   into one after it is built ([compact] and [freeze] replace them with
-   fresh arrays); the triple vector, which [compact] rewrites in place,
-   is copied. The delta hook is
-   deliberately not carried over — a snapshot copy must not feed the
+   shape, with both delta tables empty: once copied, the two stores never
+   observe each other's mutations. Nothing is copied in proportion to the
+   store. The permutation arrays are shared, since no code writes into
+   one after it is built ([compact] and [freeze] replace them with fresh
+   arrays); the triple vector is shared copy-on-write ([own_triples]), so
+   no array reachable from either store is written below its length; the
+   dictionary shares its generation ({!Dictionary.copy}). The delta hook
+   is deliberately not carried over — a snapshot copy must not feed the
    original's WAL. A given [dictionary] replaces the private dictionary
    copy; the memo of schema predicates is then rebuilt on demand, since
    it is keyed by ids of the old one. *)
 let copy ?dictionary st =
   freeze st;
+  st.triples_shared <- true;
   let c =
   {
     uid = Atomic.fetch_and_add uids 1;
     dict =
       (match dictionary with Some d -> d | None -> Dictionary.copy st.dict);
-    triples = Int_vec.copy st.triples;
-    seen = Hashtbl.copy st.seen;
+    triples = st.triples;
+    triples_shared = true;
+    size = st.size;
+    appended = Hashtbl.create 16;
+    removed = Hashtbl.create 16;
     spo = st.spo;
     pos = st.pos;
     osp = st.osp;
     frozen = st.frozen;
-    removed = Int_vec.create ();
     data_epoch = st.data_epoch;
     schema_epoch = st.schema_epoch;
     hook = None;
@@ -677,6 +728,7 @@ let import_indexes st ~spo ~pos ~osp =
     st.pos <- pos;
     st.osp <- osp;
     st.frozen <- n;
+    Hashtbl.reset st.appended;
     true
   end
   else false

@@ -3,9 +3,11 @@
     This plays the role of the RDBMS storing the database in the paper's
     architecture: triples are integer tuples, and three sorted permutation
     indexes provide exact-range lookups for every triple-pattern binding
-    shape. Insertions append to a triple vector and removals only mark the
-    membership table; the first lookup after a batch merges that delta
-    into the sorted indexes ({!freeze}). *)
+    shape. Insertions append to a triple vector and removals only record
+    the removed key; the first lookup after a batch merges that delta
+    into the sorted indexes ({!freeze}). Membership is a binary search on
+    the SPO index plus two tables holding only the delta since the last
+    freeze. *)
 
 open Refq_rdf
 
@@ -87,6 +89,8 @@ val set_trace_hook : (t -> trace_event -> unit) option -> unit
     {!schema_epoch}). At most one observer is active. *)
 
 val mem_ids : t -> int -> int -> int -> bool
+(** Whether the encoded triple is live: a lookup in the delta since the
+    last {!freeze}, then a binary search on the SPO index. *)
 
 val remove_ids : t -> int -> int -> int -> unit
 (** Remove an encoded triple (no-op when absent). The triple vector is
@@ -122,9 +126,13 @@ val sealed : t -> bool
 
 val copy : ?dictionary:Dictionary.t -> t -> t
 (** An independent copy: same triples, same dictionary ids, same epoch
-    pair, and the same permutation indexes — shared, since no index array
-    is ever written after it is built — so mutations on either side never
-    reach the other. The copy starts
+    pair. It freezes the source, then shares everything it holds: the
+    permutation indexes (no index array is ever written after it is
+    built), the triple vector (copy-on-write: the first mutation of
+    either store copies it first) and the dictionary's generation
+    ({!Dictionary.copy}). Mutations on either side never reach the
+    other, and the copy costs the same at any store size once the source
+    is frozen. The copy starts
     unsealed and without a delta hook (a snapshot copy must not feed the
     original's WAL). This is the copy-on-bump primitive of the serving
     front-end: the writer copies the live store after a batch commits,

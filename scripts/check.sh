@@ -159,6 +159,13 @@ rm -f "$smoke_nt.views"
 echo "== source lint (scripts/lint.sh)"
 scripts/lint.sh
 
+echo "== A/B pairs script smoke (syntax and --help)"
+bash -n scripts/perf_pairs.sh
+scripts/perf_pairs.sh --help | grep -q "PARENT_REV WORKLOAD SEED" || {
+  echo "scripts/perf_pairs.sh --help printed no usage" >&2
+  exit 1
+}
+
 echo "== static analysis: refq lint over bundled workloads + generated queries"
 for workload in lubm dblp geo; do
   wl_nt=$(mktemp "/tmp/refq_lint_${workload}.XXXXXX.nt")

@@ -168,3 +168,35 @@ let rows_to_string rows =
     (List.map
        (fun row -> String.concat ", " (List.map Term.to_string row))
        rows)
+
+(* ------------------------------------------------------------------ *)
+(* Parser fuzzing                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let gen_byte = Gen.map Char.chr (Gen.int_bound 255)
+
+(* Arbitrary bytes, or one byte of a valid input replaced, inserted or
+   deleted. *)
+let gen_fuzz seeds =
+  let open Gen in
+  let mutant =
+    let* s = oneofl seeds in
+    let n = String.length s in
+    let* pos = int_bound n and* b = gen_byte and* kind = int_bound 2 in
+    let before = String.sub s 0 pos in
+    let after k = String.sub s (pos + k) (n - pos - k) in
+    pure
+      (match kind with
+      | 0 when pos < n -> before ^ String.make 1 b ^ after 1
+      | 1 when pos < n -> before ^ after 1
+      | _ -> before ^ String.make 1 b ^ after 0)
+  in
+  frequency
+    [ (1, string_size ~gen:gen_byte (int_range 0 200)); (3, mutant) ]
+
+(* Whether [parse] returns on [input] rather than raising. *)
+let total parse input =
+  match parse input with
+  | Ok _ | Error _ -> true
+  | exception e ->
+    QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e)

@@ -431,7 +431,7 @@ let persisted_env store =
     let env = Answer.make_env (Persist.store h) in
     Option.iter
       (fun (sat, delta) -> Answer.install_saturated ~delta env sat)
-      (Persist.sat h);
+      (Persist.take_sat h);
     Persist.close h;
     (dir, env)
 

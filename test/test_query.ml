@@ -378,6 +378,54 @@ let prop_sparql_roundtrip =
       | Ok q' -> Cq.equal (Cq.canonicalize q) (Cq.canonicalize q')
       | Error _ -> false)
 
+(* The bundled LUBM queries and Example 1 as SELECT, ASK and notation
+   texts: the fuzzers' valid inputs. *)
+let lubm_env =
+  Namespace.add Namespace.default ~prefix:"ub" ~uri:Refq_workload.Lubm.ns
+
+let bundled_texts =
+  let qs =
+    List.map snd Refq_workload.Lubm.queries @ [ Refq_workload.Lubm.example1_query ]
+  in
+  let select q = Sparql.to_sparql ~env:lubm_env q in
+  let ask q =
+    let s = select q in
+    match String.index_opt s '{' with
+    | Some i -> "ASK WHERE " ^ String.sub s i (String.length s - i)
+    | None -> s
+  in
+  List.concat_map (fun q -> [ select q; ask q ]) qs
+  @ [
+      {|q(x3) :- x1 ub:hasAuthor x2, x2 ub:hasName x3, x1 x4 "1949"|};
+      {|q(x, y) :- x rdf:type ub:Student, x ub:memberOf y, y ub:name "d\"0"@en|};
+      {|SELECT * WHERE { ?x <http://a/p> "v"^^<http://a/t> . _:b ?p ?x }|};
+      {|SELECT ?x WHERE { { ?x rdf:type ub:Student } UNION { ?x ub:takesCourse ?c } }|};
+    ]
+
+let prop_sparql_fuzz =
+  QCheck2.Test.make ~name:"SPARQL parsers on bytes and mutated queries" ~count:2000
+    ~print:(Printf.sprintf "%S") (Fixtures.gen_fuzz bundled_texts) (fun text ->
+      Fixtures.total (Sparql.parse ~env:lubm_env) text
+      && Fixtures.total (Sparql.parse_select ~env:lubm_env) text
+      && Fixtures.total (Sparql.parse_ask ~env:lubm_env) text
+      && Fixtures.total (Sparql.parse_notation ~env:lubm_env) text)
+
+let test_bundled_texts_parse () =
+  List.iter
+    (fun text ->
+      let parsed =
+        List.exists
+          (fun parse -> Result.is_ok (parse text))
+          [
+            Sparql.parse ~env:lubm_env;
+            Sparql.parse_ask ~env:lubm_env;
+            Sparql.parse_notation ~env:lubm_env;
+          ]
+        || Result.is_ok (Sparql.parse_select ~env:lubm_env text)
+      in
+      if not parsed then Alcotest.failf "fuzz seed %S does not parse" text)
+    bundled_texts
+
 let () =
   Alcotest.run "query"
     [
@@ -437,5 +485,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_sparql_roundtrip;
           QCheck_alcotest.to_alcotest prop_sparql_roundtrip;
           QCheck_alcotest.to_alcotest prop_sparql_total;
+          Alcotest.test_case "fuzz seeds parse" `Quick test_bundled_texts_parse;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2026 |])
+            prop_sparql_fuzz;
         ] );
     ]

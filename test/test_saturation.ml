@@ -370,9 +370,96 @@ let prop_maintained_equals_full =
       in
       Graph.equal (Refq_storage.Store.to_graph result) (Saturate.graph final))
 
+(* Schemas constraining rdf:type itself: a derived type triple has
+   consequences of its own, which one [derive_one] step per triple
+   misses. *)
+let test_type_constraints () =
+  let u = Fixtures.uri in
+  let check_case name g expected =
+    let base = Refq_storage.Store.of_graph g in
+    let sat = Refq_storage.Store.to_graph (Saturate.store base) in
+    Alcotest.(check bool) (name ^ ": equals the reference") true
+      (Graph.equal sat (Saturate.graph_reference g));
+    List.iter
+      (fun t ->
+        Alcotest.(check bool) (Fmt.str "%s: %a" name Triple.pp t) true
+          (Graph.mem t sat))
+      expected;
+    (* Maintenance falls back to a fresh saturation, in both directions. *)
+    let add = Triple.make (u "y") (u "p") (u "A") in
+    (match
+       Saturate.add_incremental ~closure:(closure_of base) (Saturate.store base)
+         [ add ]
+     with
+    | `Resaturated s ->
+      Alcotest.(check bool) (name ^ ": add resaturates to fresh") true
+        (Graph.equal (Refq_storage.Store.to_graph s)
+           (Saturate.graph_reference (Graph.add add g)))
+    | `Incremental _ -> Alcotest.failf "%s: addition must re-saturate" name);
+    let del = Triple.make (u "x") (u "p") (u "A") in
+    match
+      Saturate.remove_incremental ~closure:(closure_of base) ~base
+        (Saturate.store base) [ del ]
+    with
+    | `Resaturated s ->
+      Alcotest.(check bool) (name ^ ": removal resaturates to fresh") true
+        (Graph.equal (Refq_storage.Store.to_graph s)
+           (Saturate.graph_reference (Graph.remove del g)))
+    | `Incremental _ -> Alcotest.failf "%s: removal must re-saturate" name
+  in
+  check_case "subproperty of rdf:type"
+    (Graph.of_list
+       [
+         Triple.make (u "p") Vocab.rdfs_subpropertyof Vocab.rdf_type;
+         Triple.make (u "A") Vocab.rdfs_subclassof (u "B");
+         Triple.make (u "x") (u "p") (u "A");
+       ])
+    [
+      Triple.make (u "x") Vocab.rdf_type (u "A");
+      Triple.make (u "x") Vocab.rdf_type (u "B");
+    ];
+  check_case "domain and range of rdf:type"
+    (Graph.of_list
+       [
+         Triple.make Vocab.rdf_type Vocab.rdfs_domain (u "Thing");
+         Triple.make Vocab.rdf_type Vocab.rdfs_range (u "Class");
+         Triple.make (u "x") Vocab.rdf_type (u "A");
+         Triple.make (u "x") (u "p") (u "A");
+       ])
+    [
+      Triple.make (u "x") Vocab.rdf_type (u "Thing");
+      Triple.make (u "A") Vocab.rdf_type (u "Class");
+      Triple.make (u "A") Vocab.rdf_type (u "Thing");
+      Triple.make (u "Class") Vocab.rdf_type (u "Class");
+      Triple.make (u "Class") Vocab.rdf_type (u "Thing");
+    ]
+
+(* [Fixtures.gen_graph], whose schemas may also constrain rdf:type: as a
+   superproperty, a subproperty, and the subject of domain and range
+   constraints. *)
+let gen_graph_type_schema =
+  let open QCheck2.Gen in
+  let type_triple =
+    oneof
+      [
+        map (fun p -> Triple.make p Vocab.rdfs_subpropertyof Vocab.rdf_type)
+          Fixtures.gen_prop;
+        map (fun p -> Triple.make Vocab.rdf_type Vocab.rdfs_subpropertyof p)
+          Fixtures.gen_prop;
+        map (fun c -> Triple.make Vocab.rdf_type Vocab.rdfs_domain c)
+          Fixtures.gen_class;
+        map (fun c -> Triple.make Vocab.rdf_type Vocab.rdfs_range c)
+          Fixtures.gen_class;
+      ]
+  in
+  map2
+    (fun g extra -> List.fold_left (fun g t -> Graph.add t g) g extra)
+    Fixtures.gen_graph
+    (list_size (int_range 0 2) type_triple)
+
 let prop_matches_reference =
   QCheck2.Test.make ~name:"store saturation = brute-force fixpoint" ~count:60
-    ~print:Fixtures.print_graph Fixtures.gen_graph (fun g ->
+    ~print:Fixtures.print_graph gen_graph_type_schema (fun g ->
       Graph.equal (Saturate.graph g) (Saturate.graph_reference g))
 
 let prop_idempotent =
@@ -399,7 +486,10 @@ let () =
           Alcotest.test_case "LUBM in one round" `Quick test_lubm_one_round;
           Alcotest.test_case "schema derived from data iterates" `Quick
             test_schema_from_data;
-          QCheck_alcotest.to_alcotest prop_matches_reference;
+          Alcotest.test_case "schemas constraining rdf:type" `Quick
+            test_type_constraints;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2026 |])
+            prop_matches_reference;
           QCheck_alcotest.to_alcotest prop_idempotent;
           QCheck_alcotest.to_alcotest prop_monotone;
         ] );

@@ -186,6 +186,67 @@ let test_protocol_parse () =
       {|{"op":"insert"}|};
     ]
 
+(* Valid request lines and query texts as the server receives them:
+   the fuzzers' seeds. *)
+let serve_env = Serve.Config.default_env
+
+let fuzz_queries =
+  List.map
+    (fun q -> Sparql.to_sparql ~env:serve_env q)
+    (List.map snd Refq_workload.Lubm.queries @ [ Refq_workload.Lubm.example1_query ])
+  @ [
+      "q(x) :- x rdf:type ex:Publication";
+      "ASK WHERE { ?x rdf:type ub:Student }";
+      {|q(x, n) :- x ub:name n, x ub:emailAddress "a\"b"@en|};
+    ]
+
+let fuzz_requests =
+  List.concat_map
+    (fun q ->
+      [
+        answer_req ~strategy:"gcov" q;
+        req
+          [
+            ("op", Json.String "explain");
+            ("query", Json.String q);
+            ("strategy", Json.String "sat");
+            ("deadline", Json.Int 500);
+            ("max_rows", Json.Int 10);
+          ];
+        req [ ("op", Json.String "lint"); ("query", Json.String q) ];
+      ])
+    fuzz_queries
+  @ [
+      mut_req "insert" book_stmts;
+      mut_req "delete" [ List.hd book_stmts ];
+      {|{"op":"stats"}|};
+      {|{"op":"ping"}|};
+      {|{"op":"epochs"}|};
+      {|{"op":"shutdown"}|};
+    ]
+
+let prop_protocol_fuzz =
+  QCheck2.Test.make ~name:"request parser on bytes and mutated requests"
+    ~count:2000 ~print:(Printf.sprintf "%S") (Fixtures.gen_fuzz fuzz_requests)
+    (Fixtures.total Protocol.parse_request)
+
+let prop_query_fuzz =
+  QCheck2.Test.make ~name:"query dispatch on bytes and mutated queries"
+    ~count:2000 ~print:(Printf.sprintf "%S") (Fixtures.gen_fuzz fuzz_queries)
+    (Fixtures.total (Serve.parse_query ~env:serve_env))
+
+let test_fuzz_seeds_parse () =
+  List.iter
+    (fun line ->
+      if Result.is_error (Protocol.parse_request line) then
+        Alcotest.failf "fuzz seed %S does not parse" line)
+    fuzz_requests;
+  List.iter
+    (fun q ->
+      if Result.is_error (Serve.parse_query ~env:serve_env q) then
+        Alcotest.failf "fuzz seed %S does not parse" q)
+    fuzz_queries
+
 let test_protocol_render () =
   let line = Protocol.ok ~epochs:(3, 1) [ ("applied", Json.Int 2) ] in
   Alcotest.(check bool) "single line" false (String.contains line '\n');
@@ -653,12 +714,70 @@ let test_drain_leaves_recoverable_directory () =
     (Graph.mem (triple stmt) (Store.to_graph (Session.store again)));
   Session.close again
 
+(* A weak pointer to the saturation the session restored from its
+   snapshot (current, since the directory has no WAL tail). Kept out of
+   line so no stack slot of the caller holds the store itself. *)
+let[@inline never] weak_restored_sat session =
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some (fst (Answer.saturated (Session.env session))));
+  w
+
+(* The server's own session must not keep the restored saturation alive:
+   the first snapshot inherits it and later snapshots force their own,
+   so after writes and sat reads nothing reaches it. *)
+let test_session_releases_saturation () =
+  let dir = temp_dir () in
+  let h = Result.get_ok (Refq_persist.Persist.open_dir dir) in
+  let st = Refq_persist.Persist.store h in
+  (* Large enough that the batches below stay under the delta share past
+     which a pending saturation is dropped anyway. *)
+  List.iter (fun s -> Store.add_triple st (triple s))
+    (book_stmts
+    @ List.init 30 (fun i ->
+          Printf.sprintf "%s %s %s ." (ex (Printf.sprintf "w%d" i)) (ex "writtenBy")
+            (ex "a1")));
+  Refq_persist.Persist.snapshot ~sat:(Refq_saturation.Saturate.store st) h;
+  Refq_persist.Persist.close h;
+  let config = Session.Config.(default |> with_persist_dir dir) in
+  let session = session_exn (Session.open_ ~config ()) in
+  Alcotest.(check bool) "closure restored" true
+    (Option.get (Session.info session).Session.recovery)
+      .Refq_persist.Persist.sat_restored;
+  let w = weak_restored_sat session in
+  let server = server_exn (Serve.start session) in
+  let sat_read () =
+    let r =
+      Serve.handle server
+        (answer_req ~strategy:"sat" "q(x) :- x rdf:type ex:Publication")
+    in
+    Alcotest.(check bool) "sat read ok" true (is_ok r);
+    answers_of r
+  in
+  Alcotest.(check int) "restored saturation answers" 1 (sat_read ());
+  List.iteri
+    (fun i b ->
+      let stmt = Printf.sprintf "%s %s %s ." (ex b) rdf_type (ex "Book") in
+      Alcotest.(check bool) "write ok" true
+        (is_ok (Serve.handle server (mut_req "insert" [ stmt ])));
+      Alcotest.(check int) "maintained saturation answers" (i + 2) (sat_read ()))
+    [ "b2"; "b3" ];
+  Gc.full_major ();
+  Alcotest.(check bool) "restored saturation collected" true
+    (Option.is_none (Weak.get w 0));
+  ignore (Serve.handle server {|{"op":"shutdown"}|});
+  Serve.wait server
+
 let () =
   Alcotest.run "serve"
     [
       ( "protocol",
         [
           Alcotest.test_case "parse totality" `Quick test_protocol_parse;
+          Alcotest.test_case "fuzz seeds parse" `Quick test_fuzz_seeds_parse;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2026 |])
+            prop_protocol_fuzz;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2026 |])
+            prop_query_fuzz;
           Alcotest.test_case "response rendering" `Quick test_protocol_render;
           Alcotest.test_case "prometheus export" `Quick test_metrics_names;
         ] );
@@ -669,6 +788,8 @@ let () =
             test_session_rejects_bad_domains;
           Alcotest.test_case "persist round-trip" `Quick
             test_session_persist_roundtrip;
+          Alcotest.test_case "server session releases its saturation" `Quick
+            test_session_releases_saturation;
         ] );
       ( "server",
         [

@@ -550,6 +550,278 @@ let prop_merged_freeze =
             check_frozen st m)
         (ops @ [ Freeze ]))
 
+(* ------------------------------------------------------------------ *)
+(* Copies: isolation and constant cost                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Copies share the dictionary's generation; allocations past it stay
+   private to each side, across folds, and never change what a copy
+   decodes. *)
+let test_dictionary_copies () =
+  let d = Dictionary.create () in
+  let t i = Term.uri (Printf.sprintf "http://t%d" i) in
+  for i = 0 to 99 do
+    ignore (Dictionary.encode d (t i))
+  done;
+  let c = Dictionary.copy d in
+  (* Enough fresh ids on the source to fold its tail more than once. *)
+  for i = 100 to 499 do
+    Alcotest.(check int) "dense ids" i (Dictionary.encode d (t i))
+  done;
+  Alcotest.(check int) "copy keeps its size" 100 (Dictionary.size c);
+  Alcotest.(check (option int)) "source's new term unseen by the copy" None
+    (Dictionary.find c (t 100));
+  let x = Term.literal "copy-only" in
+  Alcotest.(check int) "copy allocates its own next id" 100 (Dictionary.encode c x);
+  Alcotest.check term "source keeps its id 100" (t 100) (Dictionary.decode d 100);
+  Alcotest.check term "copy decodes its id 100" x (Dictionary.decode c 100);
+  Alcotest.(check (option int)) "copy's term unseen by the source" None
+    (Dictionary.find d x);
+  let cc = Dictionary.copy c in
+  ignore (Dictionary.encode c (Term.literal "later"));
+  Alcotest.(check int) "copy of a copy" 101 (Dictionary.size cc);
+  Alcotest.check term "copy of a copy decodes the tail" x (Dictionary.decode cc 100);
+  for i = 0 to 99 do
+    Alcotest.(check (option int)) "shared generation intact" (Some i)
+      (Dictionary.find cc (t i))
+  done;
+  let ids = ref [] in
+  Dictionary.iter (fun id _ -> ids := id :: !ids) d;
+  Alcotest.(check (list int)) "iter covers generation and tail"
+    (List.init 500 Fun.id) (List.rev !ids)
+
+(* Words allocated by [f ()]. *)
+let allocated f =
+  let before = Gc.allocated_bytes () in
+  let r = f () in
+  let after = Gc.allocated_bytes () in
+  (r, int_of_float ((after -. before) /. float_of_int (Sys.word_size / 8)))
+
+(* A frozen store of [n] triples over five predicates. *)
+let store_of_size n =
+  let st = Store.create () in
+  let id t = Store.encode_term st t in
+  let preds = Array.init 5 (fun i -> id (Fixtures.uri (Printf.sprintf "p%d" i))) in
+  for i = 0 to n - 1 do
+    Store.add_ids st
+      (id (Fixtures.uri (Printf.sprintf "s%d" (i / 5))))
+      preds.(i mod 5)
+      (id (Fixtures.uri (Printf.sprintf "o%d" (i mod 97))))
+  done;
+  Store.freeze st;
+  st
+
+let test_copy_constant () =
+  let small = store_of_size 1_000 and large = store_of_size 100_000 in
+  let copy_words st = snd (allocated (fun () -> Store.copy st)) in
+  let dict_words st =
+    snd (allocated (fun () -> Dictionary.copy (Store.dictionary st)))
+  in
+  (* The first copy marks the generation shared; measure the second. *)
+  ignore (Store.copy small);
+  ignore (Store.copy large);
+  Alcotest.(check int) "Store.copy: same words at 1k and 100k triples"
+    (copy_words small) (copy_words large);
+  Alcotest.(check int) "Dictionary.copy (empty tail): same words"
+    (dict_words small) (dict_words large);
+  Alcotest.(check int) "copy holds every triple" 100_000
+    (Store.size (Store.copy large))
+
+(* Random interleavings of mutation batches, freezes, copies, seals and
+   unseals over a source, its copies and copies of copies, each store
+   checked after every step against its own model: the live key set
+   and the epoch pair. *)
+type cop =
+  | Mutate of (int * [ `Add | `Remove | `Readd ] * (int * int * int)) list
+  | Freeze_at of int
+  | Copy_of of int
+  | Seal_at of int
+  | Unseal_at of int
+
+let max_stores = 5
+
+let gen_cops =
+  let open QCheck2.Gen in
+  let key =
+    triple (int_bound 3) (int_bound (Array.length preds - 1)) (int_bound 4)
+  in
+  let mutation =
+    triple (int_bound (max_stores - 1))
+      (frequency [ (5, pure `Add); (3, pure `Remove); (2, pure `Readd) ])
+      key
+  in
+  list_size (int_bound 40)
+    (frequency
+       [
+         (6, map (fun ms -> Mutate ms) (list_size (int_range 1 6) mutation));
+         (1, map (fun i -> Freeze_at i) (int_bound (max_stores - 1)));
+         (2, map (fun i -> Copy_of i) (int_bound (max_stores - 1)));
+         (1, map (fun i -> Seal_at i) (int_bound (max_stores - 1)));
+         (1, map (fun i -> Unseal_at i) (int_bound (max_stores - 1)));
+       ])
+
+let print_cops cops =
+  let k (s, p, o) = Printf.sprintf "(%d,%d,%d)" s p o in
+  String.concat "; "
+    (List.map
+       (function
+         | Mutate ms ->
+           "mutate["
+           ^ String.concat ","
+               (List.map
+                  (fun (i, op, key) ->
+                    Printf.sprintf "%d:%s%s" i
+                      (match op with `Add -> "+" | `Remove -> "-" | `Readd -> "-+")
+                      (k key))
+                  ms)
+           ^ "]"
+         | Freeze_at i -> Printf.sprintf "freeze %d" i
+         | Copy_of i -> Printf.sprintf "copy %d" i
+         | Seal_at i -> Printf.sprintf "seal %d" i
+         | Unseal_at i -> Printf.sprintf "unseal %d" i)
+       cops)
+
+type copy_model = {
+  m_live : (int * int * int, unit) Hashtbl.t;
+  mutable m_data : int;
+  mutable m_schema : int;
+  mutable m_sealed : bool;
+}
+
+let check_against st cm ~universe =
+  let ok = ref true in
+  let expect b = if not b then ok := false in
+  expect (Store.sealed st = cm.m_sealed);
+  expect (Store.size st = Hashtbl.length cm.m_live);
+  expect (Store.data_epoch st = cm.m_data);
+  expect (Store.schema_epoch st = cm.m_schema);
+  List.iter
+    (fun (s, p, o) -> expect (Store.mem_ids st s p o = Hashtbl.mem cm.m_live (s, p, o)))
+    universe;
+  let decoded (s, p, o) =
+    Triple.make (Store.decode_id st s) (Store.decode_id st p) (Store.decode_id st o)
+  in
+  expect
+    (Graph.equal (Store.to_graph st)
+       (Hashtbl.fold (fun k () g -> Graph.add (decoded k) g) cm.m_live Graph.empty));
+  (* All 8 binding shapes, bound to the fields of every live key and of
+     one key that may be absent. *)
+  let live = Hashtbl.fold (fun k () acc -> k :: acc) cm.m_live [] in
+  List.iter
+    (fun (s0, p0, o0) ->
+      for mask = 0 to 7 do
+        let pick bit v = if mask land bit <> 0 then Some v else None in
+        let s = pick 1 s0 and p = pick 2 p0 and o = pick 4 o0 in
+        let fits v = function None -> true | Some x -> x = v in
+        let want =
+          List.sort compare
+            (List.filter (fun (a, b, c) -> fits a s && fits b p && fits c o) live)
+        in
+        let got = ref [] in
+        Store.iter_pattern st ~s ~p ~o (fun a b c -> got := (a, b, c) :: !got);
+        expect (List.sort compare !got = want);
+        expect (Store.count_pattern st ~s ~p ~o = List.length want)
+      done)
+    (List.hd universe :: live);
+  expect (check_stats st { vec = []; live = cm.m_live });
+  !ok
+
+let prop_copy_isolation =
+  QCheck2.Test.make ~name:"copies stay isolated; each store = its model"
+    ~count:200 ~print:print_cops gen_cops (fun cops ->
+      let src = Store.create () in
+      (* Every term is known before the first copy, so ids agree across
+         the lineage and no mutation needs a sealed dictionary. *)
+      let id t = Store.encode_term src t in
+      let universe =
+        List.concat_map
+          (fun s ->
+            List.concat_map
+              (fun p -> List.init 5 (fun o -> (id (node s), id preds.(p), id (node o))))
+              (List.init (Array.length preds) Fun.id))
+          (List.init 4 Fun.id)
+      in
+      let key_ids (s, p, o) = (id (node s), id preds.(p), id (node o)) in
+      let is_schema (_, p, _) = p >= 3 in
+      let model0 =
+        { m_live = Hashtbl.create 16; m_data = 0; m_schema = 0; m_sealed = false }
+      in
+      let stores = ref [| (src, model0) |] in
+      let at i = !stores.(i mod Array.length !stores) in
+      let bump cm k =
+        if is_schema k then cm.m_schema <- cm.m_schema + 1
+        else cm.m_data <- cm.m_data + 1
+      in
+      (* A mutation is effective iff it changes the live set; on a sealed
+         store an effective one raises and changes nothing. *)
+      let apply st cm key op =
+        let (s, p, o) as ids = key_ids key in
+        let effective =
+          match op with
+          | `Add -> not (Hashtbl.mem cm.m_live ids)
+          | `Remove -> Hashtbl.mem cm.m_live ids
+        in
+        match
+          (match op with
+          | `Add -> Store.add_ids st s p o
+          | `Remove -> Store.remove_ids st s p o)
+        with
+        | () ->
+          if effective then begin
+            (match op with
+            | `Add -> Hashtbl.replace cm.m_live ids ()
+            | `Remove -> Hashtbl.remove cm.m_live ids);
+            bump cm key
+          end;
+          not cm.m_sealed || not effective
+        | exception Invalid_argument _ -> cm.m_sealed && effective
+      in
+      List.for_all
+        (fun cop ->
+          let step_ok =
+            match cop with
+            | Mutate ms ->
+              List.for_all
+                (fun (i, op, key) ->
+                  let st, cm = at i in
+                  match op with
+                  | (`Add | `Remove) as op -> apply st cm key op
+                  | `Readd -> apply st cm key `Remove && apply st cm key `Add)
+                ms
+            | Freeze_at i ->
+              Store.freeze (fst (at i));
+              true
+            | Copy_of i ->
+              let st, cm = at i in
+              let c = Store.copy st in
+              if Array.length !stores < max_stores then
+                stores :=
+                  Array.append !stores
+                    [|
+                      ( c,
+                        {
+                          m_live = Hashtbl.copy cm.m_live;
+                          m_data = cm.m_data;
+                          m_schema = cm.m_schema;
+                          m_sealed = false;
+                        } );
+                    |];
+              true
+            | Seal_at i ->
+              let st, cm = at i in
+              Store.seal st;
+              cm.m_sealed <- true;
+              true
+            | Unseal_at i ->
+              let st, cm = at i in
+              Store.unseal st;
+              cm.m_sealed <- false;
+              true
+          in
+          step_ok
+          && Array.for_all (fun (st, cm) -> check_against st cm ~universe) !stores)
+        cops)
+
 let () =
   Alcotest.run "storage"
     [
@@ -558,6 +830,8 @@ let () =
           Alcotest.test_case "encode/decode" `Quick test_dictionary;
           Alcotest.test_case "decode names the invariant" `Quick
             test_decode_message;
+          Alcotest.test_case "copies share a generation" `Quick
+            test_dictionary_copies;
         ] );
       ( "store",
         [
@@ -580,6 +854,11 @@ let () =
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 2026 |])
             prop_merged_freeze;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 2026 |])
+            prop_copy_isolation;
+          Alcotest.test_case "copy cost independent of size" `Quick
+            test_copy_constant;
         ] );
       ( "stats",
         [
