@@ -135,7 +135,7 @@ let handle st line =
   | "stats" ->
     require_session st (fun session ->
         let store = Session.store session in
-        Fmt.pr "%a@." (Stats.pp (Store.dictionary store)) (Stats.compute store))
+        Fmt.pr "%a@." Stats.pp store)
   | "query" -> (
     let parse =
       if String.length arg > 1 && arg.[0] = 'q' && String.contains arg '-' then

@@ -178,8 +178,7 @@ let stats_cmd =
     match load_store path with
     | Error m -> `Error (false, m)
     | Ok store ->
-      let stats = Stats.compute store in
-      Fmt.pr "%a@." (Stats.pp (Store.dictionary store)) stats;
+      Fmt.pr "%a@." Stats.pp store;
       `Ok ()
   in
   let path =

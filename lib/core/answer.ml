@@ -121,6 +121,7 @@ type sat_state =
   | Current of { sat : Store.t; info : Saturate.info; cenv : Cardinality.env }
   | Pending of {
       source : Store.t;  (** sealed saturation of an earlier state *)
+      source_stats : Stats.t option;  (** [source]'s, when known *)
       source_ids : int;
           (** leading ids of [source]'s dictionary known to mean the same
               term in every later dictionary of its lineage *)
@@ -207,8 +208,10 @@ let c_maintained = Obs.counter "saturate.maintained"
    [source_ids] mean the same term in both dictionaries (they are
    append-only copies of one lineage); ids past it were allocated
    privately (e.g. [rdf:type] by a snapshot's own saturation) and are
-   translated when this dictionary disagrees on them. *)
-let maintain env ~source ~source_ids ~delta =
+   translated when this dictionary disagrees on them. The copy's own
+   effective mutations carry [source_stats] over to the result; a
+   translated copy or a re-saturation is counted afresh. *)
+let maintain env ~source ~source_ids ~source_stats ~delta =
   let dict = Store.dictionary env.store and sdict = Store.dictionary source in
   let rec agree id =
     id >= Dictionary.size sdict
@@ -216,8 +219,9 @@ let maintain env ~source ~source_ids ~delta =
        && Refq_rdf.Term.equal (Dictionary.decode dict id) (Dictionary.decode sdict id)
        && agree (id + 1)
   in
+  let copied = sdict == dict || agree source_ids in
   let sat =
-    if sdict == dict || agree source_ids then Store.copy ~dictionary:dict source
+    if copied then Store.copy ~dictionary:dict source
     else begin
       let sat = Store.create ~dictionary:dict () in
       let tr id =
@@ -228,6 +232,8 @@ let maintain env ~source ~source_ids ~delta =
       sat
     end
   in
+  let sat_delta = ref [] in
+  Store.set_delta_hook sat (Some (fun d -> sat_delta := d :: !sat_delta));
   let added, removed =
     List.fold_left
       (fun (added, removed) -> function
@@ -241,21 +247,31 @@ let maintain env ~source ~source_ids ~delta =
       (List.rev delta)
   in
   let closure = env.closure in
-  match
-    Saturate.remove_incremental ~closure ~base:env.store sat
-      (Refq_rdf.Graph.to_list removed)
-  with
-  | `Resaturated sat -> sat
-  | `Incremental _ -> (
+  let result =
     match
-      Saturate.add_incremental ~closure sat (Refq_rdf.Graph.to_list added)
+      Saturate.remove_incremental ~closure ~base:env.store sat
+        (Refq_rdf.Graph.to_list removed)
     with
-    | `Incremental _ -> sat
-    | `Resaturated sat -> sat)
+    | `Resaturated sat -> sat
+    | `Incremental _ -> (
+      match
+        Saturate.add_incremental ~closure sat (Refq_rdf.Graph.to_list added)
+      with
+      | `Incremental _ -> sat
+      | `Resaturated sat -> sat)
+  in
+  Store.set_delta_hook sat None;
+  let stats =
+    match source_stats with
+    | Some st when copied && result == sat ->
+      Stats.update st sat (List.rev !sat_delta)
+    | _ -> Stats.compute result
+  in
+  (result, stats)
 
-let publish env sat info =
+let publish env sat info stats =
   Store.seal sat;
-  let cenv = Cardinality.make_env sat in
+  let cenv = { Cardinality.store = sat; stats } in
   Atomic.set env.sat (Current { sat; info; cenv });
   (sat, info, cenv)
 
@@ -264,11 +280,11 @@ let saturated_full env =
   | Current { sat; info; cenv } -> (sat, info, cenv)
   | Absent ->
     let sat, info = Saturate.store_info env.store in
-    publish env sat info
-  | Pending { source; source_ids; delta; _ } ->
+    publish env sat info (Stats.compute sat)
+  | Pending { source; source_stats; source_ids; delta; _ } ->
     Obs.incr c_maintained;
     let t0 = Sys.time () in
-    let sat = maintain env ~source ~source_ids ~delta in
+    let sat, stats = maintain env ~source ~source_ids ~source_stats ~delta in
     publish env sat
       {
         Saturate.input_triples = Store.size env.store;
@@ -276,35 +292,52 @@ let saturated_full env =
         rounds = 0;
         elapsed_s = Sys.time () -. t0;
       }
+      stats
+
+let saturated_card_env env =
+  let _, _, cenv = saturated_full env in
+  cenv
 
 let saturated env =
   let st, info, _ = saturated_full env in
   (st, info)
 
 (* Past a third of the store, a delta costs about as much to maintain as
-   a fresh saturation costs to compute. Measured on a 22,051-triple LUBM
-   store (32,061 saturated) on a 2-core VM: a fresh saturation takes
-   ≈135 ms; maintenance ≈15 ms fixed (copy, statistics, freeze) plus
-   ≈5 µs per added and ≈14 µs per removed triple, so removals cross over
-   near 0.4 × the store and additions beyond it. *)
+   a fresh saturation costs to compute. Measured on a 22,638-triple LUBM
+   store on a 2-core VM: a fresh saturation takes ≈140 ms; maintenance
+   ≈4 ms fixed (copy and freeze; the statistics follow from the delta)
+   plus ≈13 µs per removed and ≈8 µs per added triple, so removals cross
+   over near 0.45 × the store and additions beyond it. *)
 let max_delta_share = 3
 
 (* The saturation [source] followed by [delta] (oldest first) on top of
    the [old] pending mutations: pending, unless the delta has outgrown
    its share of [store]. *)
-let pending ~source ~source_ids ?(old = []) ?(len = 0) store delta =
+let pending ~source ~source_stats ~source_ids ?(old = []) ?(len = 0) store
+    delta =
   let len = len + List.length delta in
   if len > Store.size store / max_delta_share then Absent
-  else Pending { source; source_ids; delta = List.rev_append delta old; delta_len = len }
+  else
+    Pending
+      {
+        source;
+        source_stats;
+        source_ids;
+        delta = List.rev_append delta old;
+        delta_len = len;
+      }
 
 (* [state], held by an environment whose dictionary had [ids] entries
    when built, followed by [delta]. *)
 let pending_after ~ids state store delta =
   match state with
   | Absent -> Absent
-  | Current { sat; _ } -> pending ~source:sat ~source_ids:ids store delta
-  | Pending { source; source_ids; delta = old; delta_len = len } ->
-    pending ~source ~source_ids ~old ~len store delta
+  | Current { sat; cenv; _ } ->
+    pending ~source:sat ~source_stats:(Some cenv.Cardinality.stats)
+      ~source_ids:ids store delta
+  | Pending { source; source_stats; source_ids; delta = old; delta_len = len }
+    ->
+    pending ~source ~source_stats ~source_ids ~old ~len store delta
 
 let inherit_saturation ~from ~delta env =
   Atomic.set env.sat
@@ -328,28 +361,58 @@ let install_saturated ?(delta = []) env sst =
            output_triples = Store.size sst;
            rounds = 0;
            elapsed_s = 0.;
-         })
+         }
+         (Stats.compute sst))
   | _ ->
     Store.seal sst;
     Atomic.set env.sat
-      (pending ~source:sst ~source_ids:env.ids_at_make env.store delta)
+      (pending ~source:sst ~source_stats:None ~source_ids:env.ids_at_make
+         env.store delta)
+
+(* The statistics after the mutations since the last sync: derived from
+   the synced ones when [delta] accounts for every epoch move, data and
+   schema alike (statistics do not depend on the closure), counted afresh
+   otherwise. An effective mutation's terms are all in the dictionary, so
+   encoding them allocates nothing. *)
+let next_stats ?delta env ~moved =
+  match delta with
+  | Some delta when List.length delta = moved ->
+    let id = Store.encode_term env.store in
+    let delta =
+      List.map
+        (fun m ->
+          let op, { Refq_rdf.Triple.s; p; o } =
+            match m with `Add t -> (`Add, t) | `Remove t -> (`Remove, t)
+          in
+          { Store.op; s = id s; p = id p; o = id o })
+        delta
+    in
+    Stats.update env.card_env.Cardinality.stats env.store delta
+  | _ -> Stats.compute env.store
 
 (* Epoch-aware refresh after store mutations. A data-only change keeps
    the closure, its fingerprint and the reformulation cache (reformulation
    only depends on the schema); a schema change rebuilds the closure and
-   drops everything keyed on it. Both paths rebuild statistics and drop
-   materialized results. The saturation survives a data-only change when
-   [delta] accounts for every data mutation since the last sync (it
-   becomes pending, brought up to date on its next read); otherwise it is
-   dropped. With unchanged epochs this is a no-op, so calling it
-   defensively is free. *)
+   drops everything keyed on it. Both paths bring the statistics up to
+   date ([next_stats]) and drop materialized results. The saturation
+   survives a data-only change when [delta] accounts for every data
+   mutation since the last sync (it becomes pending, brought up to date
+   on its next read); otherwise it is dropped. With unchanged epochs this
+   is a no-op, so calling it defensively is free. *)
 let invalidate ?delta env =
   let d = Store.data_epoch env.store and s = Store.schema_epoch env.store in
+  if d <> env.data_epoch || s <> env.schema_epoch then
+    env.card_env <-
+      {
+        Cardinality.store = env.store;
+        stats =
+          next_stats ?delta env
+            ~moved:(d - env.data_epoch + (s - env.schema_epoch));
+      };
   if s <> env.schema_epoch then begin
     let closure = closure_of_store env.store in
     env.closure <- closure;
     env.schema_fp <- Cache.closure_fingerprint closure;
-    env.card_env <- Cardinality.make_env env.store;
     Atomic.set env.sat Absent;
     clear_caches env;
     (* A schema change invalidates every view: both the extent and the
@@ -359,7 +422,6 @@ let invalidate ?delta env =
     env.data_epoch <- d
   end
   else if d <> env.data_epoch then begin
-    env.card_env <- Cardinality.make_env env.store;
     Atomic.set env.sat
       (match delta with
       | Some delta when List.length delta = d - env.data_epoch ->
@@ -375,8 +437,8 @@ let invalidate ?delta env =
   env
 
 (* The copy holds the synced source's triple set under the same ids, so
-   the closure, its fingerprint and the statistics (never mutated after
-   [Stats.compute], a function of the triple set) carry over; only the
+   the closure, its fingerprint and the statistics (immutable, a function
+   of the triple set) carry over; only the
    cardinality environment's store is rebased. The view catalog is
    shared: every view extent is pinned to the epochs it was built at, so
    against a snapshot it either matches exactly or misses — stale views

@@ -92,6 +92,15 @@ val saturated : env -> Store.t * Refq_saturation.Saturate.info
     [saturate.maintained]). A maintained saturation's info has
     [rounds = 0]. *)
 
+val saturated_card_env : env -> Cardinality.env
+(** The cardinality environment [Saturation] plans against: the
+    saturation of the store ({!saturated}, forced like it) and its
+    statistics. A maintained saturation's statistics are derived from its
+    source's with {!Refq_storage.Stats.update} over the maintenance's own
+    effective mutations, so forcing a pending saturation costs no
+    statistics pass; a fresh or re-saturated one is counted with
+    {!Refq_storage.Stats.compute}. *)
+
 val install_saturated : ?delta:mutation list -> env -> Store.t -> unit
 (** Install an externally restored saturation (a snapshot's closure) so
     the first [Saturation] run skips the fixpoint. The store must share
@@ -137,14 +146,18 @@ val refresh_views :
 val invalidate : ?delta:mutation list -> env -> env
 (** Refresh the environment after the underlying store changed (demo step
     4: modify data or constraints, re-run), driven by the store's
-    monotonic epochs. A data-only change rebuilds statistics and drops the
-    cover traces and materialized fragments, but keeps the schema
+    monotonic epochs. When [delta] lists every effective mutation since
+    the last sync (oldest first, data and schema alike), the statistics
+    follow from the synced ones and [delta] by
+    {!Refq_storage.Stats.update}, in O(delta · log n); otherwise they are
+    counted afresh ({!Refq_storage.Stats.compute}). A data-only change
+    drops the cover traces and materialized fragments, but keeps the schema
     closure, its fingerprint and the reformulation cache (reformulation
     depends only on the schema). When [delta] lists every effective
     mutation since the last sync (oldest first), the cached saturation
     is kept as pending and brought up to date on its next read (see
     {!saturated}); without it, or past a fixed share of the store, the
-    saturation is dropped. Nothing is maintained here.
+    saturation is dropped. No saturation work runs here.
     A schema change additionally re-derives the closure, drops the
     saturation and clears every cache level.
     A schema change additionally drops every materialized view (their

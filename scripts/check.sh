@@ -123,6 +123,20 @@ dune exec bin/refq.exe -- cache stats "$smoke_nt" \
 dune exec bin/refq.exe -- answer "$smoke_nt" --no-cache \
   -q 'q(x) :- x rdf:type ub:Student' -s gcov >/dev/null
 
+echo "== CLI stats smoke (refq stats: the on-demand distribution report)"
+stats_out=$(dune exec bin/refq.exe -- stats "$smoke_nt")
+for section in "top properties:" "top classes:" "top subjects:" \
+  "top objects:" "top (property, object) pairs:"; do
+  echo "$stats_out" | grep -qF "$section" || {
+    echo "refq stats printed no '$section' section" >&2
+    exit 1
+  }
+done
+echo "$stats_out" | grep -q "univ-bench#UndergraduateStudent" || {
+  echo "refq stats listed no LUBM class in its class distribution" >&2
+  exit 1
+}
+
 echo "== CLI views smoke (recommend -> materialize -> answer -> refresh -> audit)"
 dune exec bin/refq.exe -- views recommend "$smoke_nt" --bundled lubm \
   | grep -q "candidate" || {

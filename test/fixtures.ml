@@ -200,3 +200,21 @@ let total parse input =
   | Ok _ | Error _ -> true
   | exception e ->
     QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e)
+
+(* ------------------------------------------------------------------ *)
+(* Statistics                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Every figure a [Stats.t] holds, properties in ascending id order. *)
+let stat_figures stats =
+  let open Refq_storage in
+  ( [
+      Stats.n_triples stats;
+      Stats.n_distinct_subjects stats;
+      Stats.n_distinct_properties stats;
+      Stats.n_distinct_objects stats;
+    ],
+    List.sort compare
+      (List.map
+         (fun (p, _) -> (p, Stats.prop_stat stats p))
+         (Stats.top_properties stats ~k:max_int)) )

@@ -160,7 +160,6 @@ let check_rebuilt ~workload ~step env (name, q) =
   let stats e =
     let st = (Answer.card_env e).Refq_cost.Cardinality.stats in
     let term = Store.decode_id (Answer.store e) in
-    let all top = top st ~k:max_int in
     ( [
         Stats.n_triples st;
         Stats.n_distinct_subjects st;
@@ -170,9 +169,7 @@ let check_rebuilt ~workload ~step env (name, q) =
       List.sort compare
         (List.map
            (fun (p, _) -> (term p, Stats.prop_stat st p))
-           (all Stats.top_properties)),
-      List.sort compare
-        (List.map (fun (c, n) -> (term c, n)) (all Stats.top_classes)) )
+           (Stats.top_properties st ~k:max_int)) )
   in
   if stats env <> stats fresh then
     Alcotest.failf "%s step %d: invalidated statistics differ from rebuilt"
@@ -213,7 +210,10 @@ let check_rebuilt ~workload ~step env (name, q) =
    across data writes as a pending delta and brought up to date on its
    next read. At every step it must hold exactly the triples of a fresh
    saturation of the base, and a pure data step must have been absorbed
-   by one maintenance application, not by a saturation round. *)
+   by one maintenance application, not by a saturation round — unless
+   the schema rules out local repair ([resaturates]). The forced
+   saturation's statistics, derived from its source's over the
+   maintenance's own delta, must equal a fresh count of it. *)
 module Session = Refq_serve.Session
 module Saturate = Refq_saturation.Saturate
 module Obs = Refq_obs.Obs
@@ -221,7 +221,7 @@ module Obs = Refq_obs.Obs
 let c_maintained = Obs.counter "saturate.maintained"
 let c_rounds = Obs.counter "saturate.rounds"
 
-let check_maintained ~workload ~step env effective =
+let check_maintained ?(resaturates = false) ~workload ~step env effective =
   let was = Obs.enabled () in
   Obs.set_enabled true;
   let m0 = Obs.value c_maintained and r0 = Obs.value c_rounds in
@@ -235,13 +235,21 @@ let check_maintained ~workload ~step env effective =
       "%s step %d: maintained saturation (%d triples) differs from a fresh \
        one (%d triples)"
       workload step (Store.size sat) (Store.size fresh);
+  let sat_stats = (Answer.saturated_card_env env).Refq_cost.Cardinality.stats in
+  if Fixtures.stat_figures sat_stats <> Fixtures.stat_figures (Stats.compute sat)
+  then
+    Alcotest.failf
+      "%s step %d: the maintained saturation's statistics differ from \
+       Stats.compute"
+      workload step;
   let schema =
     List.exists
       (function `Add t | `Remove t -> Triple.is_schema_triple t)
       effective
   in
   let want_maintained = if effective = [] || schema then 0 else 1 in
-  if maintained <> want_maintained || (rounds > 0) <> schema then
+  if maintained <> want_maintained || (rounds > 0) <> (schema || resaturates)
+  then
     Alcotest.failf
       "%s step %d: %d maintenance application(s) and %d saturation \
        round(s) for %d effective mutation(s)%s"
@@ -314,7 +322,24 @@ let test_cached_with_mutations (workload, make_store) () =
               end
               else if step = 0 then ignore (Answer.saturated env);
               check_cached ~workload ~step env q)
-            queries))
+            queries;
+          (* Once [rdf:type] has a domain, derived type triples have
+             consequences of their own: the next data write re-saturates
+             instead of repairing locally. *)
+          let typed =
+            Triple.make Vocab.rdf_type Vocab.rdfs_domain
+              (Term.uri "http://example.org/differential#Typed")
+          in
+          let step = List.length queries in
+          check_maintained ~workload ~step env
+            (Session.apply_effective session [ `Add typed ]);
+          check_maintained ~resaturates:true ~workload ~step:(step + 1) env
+            (Session.apply_effective session
+               [
+                 `Add
+                   (Triple.make support.Triple.s support.Triple.p
+                      (Term.uri "http://example.org/differential#o2"));
+               ])))
     axis_domain_counts
 
 (* ------------------------------------------------------------------ *)
@@ -603,6 +628,90 @@ let test_wco_parity (workload, make_store) () =
             queries)
         axis_domain_counts)
 
+(* ------------------------------------------------------------------ *)
+(* Plan identity: maintained statistics plan like counted ones         *)
+(* ------------------------------------------------------------------ *)
+
+(* Over a fixed stream of 200 generated queries, interleaved every ten
+   queries with data and schema writes through [Session.apply], GCov
+   must choose the same cover at the same estimate, pricing the same
+   number of candidates ([cost.estimates]), under the environment's
+   maintained statistics as under statistics counted afresh with
+   [Stats.compute] for the same store. *)
+let c_estimates = Obs.counter "cost.estimates"
+
+let test_plan_identity () =
+  let store = Refq_workload.Lubm.generate ~scale:1 () in
+  let queries = Query_gen.generate ~seed store ~count:200 in
+  Alcotest.(check int) "stream length" 200 (List.length queries);
+  let session =
+    match Session.of_store (Store.copy store) with
+    | Ok s -> s
+    | Error m -> Alcotest.fail m
+  in
+  let env = Session.env session in
+  let victims =
+    let all = ref [] in
+    Graph.iter (fun t -> all := t :: !all) (Store.to_graph store);
+    List.filteri (fun i _ -> i < 6) !all
+  in
+  let fresh n = Term.uri ("http://example.org/plan#" ^ n) in
+  let p = (List.hd victims).Triple.p in
+  let schema_triple =
+    Triple.make (fresh "C") Vocab.rdfs_subclassof (fresh "D")
+  in
+  let writes i =
+    match i mod 5 with
+    | 0 -> List.map (fun t -> `Remove t) victims
+    | 1 -> List.map (fun t -> `Add t) victims
+    | 2 ->
+      let s = fresh (Printf.sprintf "s%d" i) in
+      [
+        `Add (Triple.make s p (fresh "o"));
+        `Add (Triple.make s p (fresh "o2"));
+        `Add (Triple.make (fresh "s") p (fresh "o"));
+      ]
+    | 3 -> [ `Add schema_triple ]
+    | _ -> [ `Remove schema_triple ]
+  in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  let totals = ref (0, 0) in
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled was)
+    (fun () ->
+      List.iteri
+        (fun i (name, q) ->
+          if i mod 10 = 0 && i > 0 then
+            ignore (Session.apply session (writes (i / 10)));
+          let maintained = Answer.card_env env in
+          let counted =
+            {
+              maintained with
+              Refq_cost.Cardinality.stats = Stats.compute (Answer.store env);
+            }
+          in
+          let search cenv =
+            let e0 = Obs.value c_estimates in
+            let trace = Gcov.search cenv (Answer.closure env) q in
+            (trace, Obs.value c_estimates - e0)
+          in
+          let t, n = search maintained and t', n' = search counted in
+          if
+            (not (Cover.equal t.Gcov.chosen t'.Gcov.chosen))
+            || compare t.Gcov.chosen_estimate t'.Gcov.chosen_estimate <> 0
+            || n <> n'
+          then
+            Alcotest.failf
+              "%s (query %d): maintained statistics plan differently@.query: \
+               %a"
+              name i Cq.pp q;
+          totals := (fst !totals + n, snd !totals + n'))
+        queries);
+  Alcotest.(check bool) "candidates priced" true (fst !totals > 0);
+  Alcotest.(check int) "cost.estimates total" (fst !totals) (snd !totals);
+  Session.close session
+
 let () =
   Alcotest.run "differential"
     [
@@ -616,6 +725,8 @@ let () =
           (fun w ->
             Alcotest.test_case (fst w) `Slow (test_cached_with_mutations w))
           workloads );
+      ( "plan identity under maintained statistics",
+        [ Alcotest.test_case "lubm" `Slow test_plan_identity ] );
       ( "views agree across mutations",
         List.map
           (fun w ->

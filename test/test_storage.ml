@@ -97,9 +97,11 @@ let test_stats () =
     Alcotest.(check int) "writtenBy count" 1 ps.Stats.count;
     Alcotest.(check int) "distinct s" 1 ps.Stats.distinct_s
   | None -> Alcotest.fail "writtenBy stats missing");
-  Alcotest.(check int) "Book instances" 1 (Stats.class_count stats (id Fixtures.book));
-  Alcotest.(check int) "absent class" 0
-    (Stats.class_count stats (id Fixtures.person));
+  let classes = Stats.top_classes st ~k:max_int in
+  Alcotest.(check (option int)) "Book instances" (Some 1)
+    (List.assoc_opt (id Fixtures.book) classes);
+  Alcotest.(check (option int)) "absent class" None
+    (List.assoc_opt (id Fixtures.person) classes);
   let top = Stats.top_properties stats ~k:3 in
   Alcotest.(check int) "top-k size" 3 (List.length top);
   (* rdf:type is among the most frequent (count 1 like the others here),
@@ -107,27 +109,35 @@ let test_stats () =
   let counts = List.map snd top in
   Alcotest.(check (list int)) "descending" (List.sort (fun a b -> compare b a) counts) counts
 
+let contains text needle =
+  let nl = String.length needle and tl = String.length text in
+  let rec go i = i + nl <= tl && (String.sub text i nl = needle || go (i + 1)) in
+  go 0
+
 let test_stats_tops () =
   let st = Store.of_graph Fixtures.borges_graph in
-  let stats = Stats.compute st in
   let id t = Option.get (Store.find_term st t) in
   (* doi1 is the most frequent subject (4 triples). *)
-  (match Stats.top_subjects stats ~k:1 with
+  (match Stats.top_subjects st ~k:1 with
   | [ (s, n) ] ->
     Alcotest.(check int) "top subject id" (id Fixtures.doi1) s;
     Alcotest.(check int) "top subject count" 4 n
   | _ -> Alcotest.fail "expected one top subject");
-  Alcotest.(check int) "top objects k" 3 (List.length (Stats.top_objects stats ~k:3));
+  Alcotest.(check int) "top objects k" 3 (List.length (Stats.top_objects st ~k:3));
   (* Each (p, o) pair occurs once in this graph. *)
-  (match Stats.top_po_pairs stats ~k:2 with
+  (match Stats.top_po_pairs st ~k:2 with
   | [ (_, n1); (_, n2) ] ->
     Alcotest.(check int) "pair count" 1 n1;
     Alcotest.(check int) "pair count" 1 n2
   | _ -> Alcotest.fail "expected two pairs");
-  (* Smoke-test the printer. *)
-  let text = Fmt.str "%a" (Stats.pp (Store.dictionary st)) stats in
-  Alcotest.(check bool) "pp mentions triples" true
-    (String.length text > 0)
+  (* The printer names every distribution section. *)
+  let text = Fmt.str "%a" Stats.pp st in
+  List.iter
+    (fun section ->
+      Alcotest.(check bool) section true
+        (contains text section))
+    [ "triples: 9"; "top properties:"; "top classes:"; "top subjects:";
+      "top objects:"; "top (property, object) pairs:" ]
 
 let test_save_load () =
   let st = Store.of_graph Fixtures.borges_graph in
@@ -440,8 +450,12 @@ let oracle_stats m ~rdf_type =
     m.live;
   (subj, obj, po, classes, props)
 
-let check_stats st m =
-  let stats = Stats.compute st in
+(* [stats] (by default [Stats.compute st]) against the oracle over the
+   live triples of [m], and figure by figure against [Stats.compute]; the
+   store's distribution reports against the oracle too. *)
+let check_stats ?stats st m =
+  let computed = Stats.compute st in
+  let stats = Option.value stats ~default:computed in
   let id t = Store.encode_term st t in
   let rdf_type = id Vocab.rdf_type in
   let subj, obj, po, classes, props = oracle_stats m ~rdf_type in
@@ -467,9 +481,12 @@ let check_stats st m =
       in
       expect (Stats.prop_stat stats p = want))
     preds;
+  let class_counts = Stats.top_classes st ~k:max_int in
   for i = 0 to 4 do
     let o = id (node i) in
-    expect (Stats.class_count stats o = count classes o)
+    expect
+      (Option.value ~default:0 (List.assoc_opt o class_counts)
+      = count classes o)
   done;
   (* Ties make the order of equal counts arbitrary: every returned pair
      must carry its true count, and the counts must be the oracle's k
@@ -477,7 +494,7 @@ let check_stats st m =
   let check_top top tbl =
     List.iter
       (fun k ->
-        let got = top stats ~k in
+        let got = top ~k in
         List.iter (fun (key, n) -> expect (count tbl key = n)) got;
         let want =
           Hashtbl.fold (fun _ n acc -> n :: acc) tbl []
@@ -487,13 +504,14 @@ let check_stats st m =
         expect (List.map snd got = want))
       [ 1; 3; 1000 ]
   in
-  check_top Stats.top_subjects subj;
-  check_top Stats.top_objects obj;
-  check_top Stats.top_po_pairs po;
-  check_top Stats.top_classes classes;
+  check_top (Stats.top_subjects st) subj;
+  check_top (Stats.top_objects st) obj;
+  check_top (Stats.top_po_pairs st) po;
+  check_top (Stats.top_classes st) classes;
   let prop_counts = Hashtbl.create 16 in
   Hashtbl.iter (fun p (n, _, _) -> Hashtbl.replace prop_counts p n) props;
-  check_top Stats.top_properties prop_counts;
+  check_top (Stats.top_properties stats) prop_counts;
+  expect (Fixtures.stat_figures stats = Fixtures.stat_figures computed);
   !ok
 
 let check_frozen st m =
@@ -549,6 +567,122 @@ let prop_merged_freeze =
             Store.freeze st;
             check_frozen st m)
         (ops @ [ Freeze ]))
+
+(* Maintained statistics under a fixed-seed interleaving of write
+   batches through [Session.apply_effective], the path a served write
+   takes: [Answer.invalidate] derives the next statistics from the
+   batch's effective mutations. A second chain applies [Stats.update]
+   directly to the store's delta-hook feed. After every batch both must
+   equal the hashtable oracle and [Stats.compute], figure by figure, and
+   a value published earlier must still read as it did. Scripted batches
+   cover what random ones may miss: schema writes, batches that empty a
+   property, a subject or an object, remove-then-re-add (and
+   add-then-remove) in one batch, and several adds sharing an (s, p) or
+   a (p, o) key new to the store. Six thousand background triples over
+   terms of their own keep every batch under one triple per 64 stored,
+   where [Stats.update] probes instead of recounting. *)
+module Session = Refq_serve.Session
+
+let test_stats_maintained () =
+  let rng = Random.State.make [| 21 |] in
+  let st = Store.create () in
+  let m = { vec = []; live = Hashtbl.create 16 } in
+  for i = 0 to 5999 do
+    let bg name k =
+      Store.encode_term st (Fixtures.uri (Printf.sprintf "%s%d" name k))
+    in
+    let s = bg "bg_s" (i mod 60) and p = bg "bg_p" (i / 60 mod 4) in
+    let o = bg "bg_o" (i / 240) in
+    Store.add_ids st s p o;
+    model_add m (s, p, o)
+  done;
+  let session =
+    match Session.of_store st with Ok s -> s | Error m -> Alcotest.fail m
+  in
+  let fed = ref [] in
+  Store.set_delta_hook st (Some (fun d -> fed := d :: !fed));
+  let direct = ref (Stats.compute st) in
+  let maintained () =
+    (Refq_core.Answer.card_env (Session.env session)).Refq_cost.Cardinality.stats
+  in
+  let triple = Triple.make in
+  let random_key () =
+    triple
+      (node (Random.State.int rng 4))
+      preds.(Random.State.int rng (Array.length preds))
+      (node (Random.State.int rng 5))
+  in
+  let live_matching ?s ?p ?o () =
+    let id t = Option.map (Store.encode_term st) t in
+    let acc = ref [] in
+    Store.iter_pattern st ~s:(id s) ~p:(id p) ~o:(id o) (fun s p o ->
+        acc :=
+          triple (Store.decode_id st s) (Store.decode_id st p)
+            (Store.decode_id st o)
+          :: !acc);
+    !acc
+  in
+  let scripted step =
+    let fresh name = Fixtures.uri (Printf.sprintf "%s%d" name step) in
+    let remove ts = List.map (fun t -> `Remove t) ts in
+    match step mod 7 with
+    | 0 -> []
+    | 1 -> [ `Add (triple (node (step mod 4)) Vocab.rdfs_subclassof (node 3)) ]
+    | 2 -> remove (live_matching ~p:preds.(step mod Array.length preds) ())
+    | 3 -> remove (live_matching ~s:(node (step mod 4)) ())
+    | 4 -> remove (live_matching ~o:(node (step mod 5)) ())
+    | 5 ->
+      let absent = triple (fresh "gone") preds.(0) (node 0) in
+      List.concat_map
+        (fun t -> [ `Remove t; `Add t ])
+        (List.filteri (fun i _ -> i < 2) (live_matching ()))
+      @ [ `Add absent; `Remove absent ]
+    | _ ->
+      let s = fresh "s" and o = fresh "o" in
+      [
+        `Add (triple s preds.(0) (node 0));
+        `Add (triple s preds.(0) (node 1));
+        `Add (triple s preds.(2) (node 2));
+        `Add (triple (node 0) preds.(1) o);
+        `Add (triple (node 1) preds.(1) o);
+        `Add (triple (node 2) preds.(1) o);
+      ]
+  in
+  let held = ref None in
+  for step = 0 to 139 do
+    let batch =
+      scripted step
+      @ List.init (Random.State.int rng 4) (fun _ ->
+            if Random.State.int rng 3 = 0 then `Remove (random_key ())
+            else `Add (random_key ()))
+    in
+    fed := [];
+    let effective = Session.apply_effective session batch in
+    if List.length effective * 64 > Store.size st then
+      Alcotest.failf "step %d: a batch of %d would be recounted" step
+        (List.length effective);
+    List.iter
+      (fun { Store.op; s; p; o } ->
+        match op with
+        | `Add -> model_add m (s, p, o)
+        | `Remove -> Hashtbl.remove m.live (s, p, o))
+      (List.rev !fed);
+    direct := Stats.update !direct st (List.rev !fed);
+    let stats = maintained () in
+    if not (check_stats ~stats st m) then
+      Alcotest.failf "step %d: maintained statistics differ from the oracle"
+        step;
+    if not (check_stats ~stats:!direct st m) then
+      Alcotest.failf "step %d: Stats.update differs from the oracle" step;
+    (match !held with
+    | Some (old, figures) ->
+      if Fixtures.stat_figures old <> figures then
+        Alcotest.failf "step %d: a published Stats.t changed" step
+    | None ->
+      if step = 20 then held := Some (stats, Fixtures.stat_figures stats))
+  done;
+  Store.set_delta_hook st None;
+  Session.close session
 
 (* ------------------------------------------------------------------ *)
 (* Copies: isolation and constant cost                                 *)
@@ -864,5 +998,7 @@ let () =
         [
           Alcotest.test_case "compute" `Quick test_stats;
           Alcotest.test_case "top-k distributions" `Quick test_stats_tops;
+          Alcotest.test_case "maintained across write batches" `Quick
+            test_stats_maintained;
         ] );
     ]
